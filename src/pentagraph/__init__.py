@@ -64,6 +64,7 @@ from .graph import (
     BipartiteCheck,
     Graph,
     Layering,
+    bfs,
     bfs_layers,
     bit_list,
     canonical_cycle,

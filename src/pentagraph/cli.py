@@ -5,7 +5,7 @@ oracle. Machine output is one JSON report on stdout (or --out) with sorted
 keys; the "timing" entry is the only nondeterministic field, so byte
 comparisons should drop it. Exit codes: 0 in the class (or success), 1 not
 in the class (or a counterexample), 2 indeterminate under the step budget,
-3 for I/O, parse, and usage errors.
+3 for I/O, parse, and usage errors and for internal library failures.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     ContractViolation,
     GraphConstructionError,
     InvariantViolation,
-    NoDecompositionFound,
     ParseError,
     PentagraphError,
     SearchBudgetExceeded,
@@ -285,10 +284,9 @@ def cmd_color(args) -> int:
             exhausted=rep.verdict == INDETERMINATE, started=started,
         )
         return _verdict_exit(rep.verdict)
-    exhausted = False
     try:
         col = three_color(G, _budget(args)) if args.k == 3 else four_color(G)
-    except (SearchBudgetExceeded, NoDecompositionFound):
+    except SearchBudgetExceeded:
         _report(
             args, f"color{args.k}", descriptor,
             {"refused": True, "reason": "budget exhausted before a coloring"},
@@ -303,7 +301,7 @@ def cmd_color(args) -> int:
     _report(
         args, f"color{args.k}", descriptor,
         {"coloring": _ser_coloring(col), "verified": True},
-        exhausted=exhausted, started=started,
+        exhausted=False, started=started,
     )
     return 0
 
@@ -414,7 +412,7 @@ def cmd_verify(args) -> int:
     outcome = {
         "which": args.which,
         "total": len(results),
-        "passed": len(results) - len(failed),
+        "passed": len(results) - len(failed) - indeterminate,
         "failed": len(failed),
         "indeterminate": indeterminate,
         "first_counterexample": first,

@@ -16,6 +16,7 @@ from .decomposition import P3Cutset, decompose
 from .errors import ContractViolation, InvariantViolation, NoDecompositionFound
 from .graph import (
     Graph,
+    bfs,
     bfs_layers,
     bit_list,
     components,
@@ -23,6 +24,7 @@ from .graph import (
     induced_subgraph,
     is_bipartite,
     iter_bits,
+    path_to,
 )
 from .structure import SearchBudget
 
@@ -67,6 +69,8 @@ def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> Kem
     for u in range(G.n):
         if c.colors[u] in (a, b):
             in_pair |= 1 << u
+    # Whole frontiers as masks, not bfs(): the component needs only what is
+    # reachable, not distances or parents.
     comp = 1 << v
     frontier = comp
     while frontier:
@@ -100,18 +104,15 @@ def four_color(G: Graph) -> Coloring:
     out = [0] * G.n
     for comp in components(G):
         source = bit_list(comp)[0]
-        layering = bfs_layers(G, source)
-        for idx, layer in enumerate(layering.layers):
-            sub, old_ids = induced_subgraph(G, layer)
-            check = is_bipartite(sub)
+        for idx, layer in enumerate(bfs_layers(G, source).layers):
+            check = is_bipartite(G, within=layer)
             if not check:
-                cyc = tuple(old_ids[v] for v in check.odd_cycle)
                 raise InvariantViolation(
-                    f"breadth-first layer {idx} induces an odd cycle", (idx, cyc)
+                    f"layer {idx} induces an odd cycle", (idx, check.odd_cycle)
                 )
             base = 1 if idx % 2 == 0 else 3
-            for new, old in enumerate(old_ids):
-                out[old] = base + check.two_coloring[new]
+            for v in iter_bits(layer):
+                out[v] = base + check.two_coloring[v]
     coloring = Coloring(4, tuple(out))
     if not verify_coloring(G, coloring):
         raise InvariantViolation("layered coloring came out improper")
@@ -187,21 +188,8 @@ def _alternating_path(
     for u in range(sub.n):
         if col.colors[u] in (1, 3):
             in_pair |= 1 << u
-    parent = {s: -1}
-    frontier = [s]
-    while frontier and t not in parent:
-        nxt = []
-        for u in frontier:
-            for z in iter_bits(sub.adj[u] & in_pair):
-                if z not in parent:
-                    parent[z] = u
-                    nxt.append(z)
-        frontier = nxt
-    walk = [t]
-    while parent[walk[-1]] >= 0:
-        walk.append(parent[walk[-1]])
-    walk.reverse()
-    return tuple(old_ids[v] for v in walk)
+    _, parent, _ = bfs(sub, 1 << s, in_pair)
+    return tuple(old_ids[v] for v in path_to(parent, t))
 
 
 def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
@@ -254,32 +242,15 @@ def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
     for u in range(Gi.n):
         if c.colors[u] in (2, 3):
             in_pair |= 1 << u
-    sources = [u for u in iter_bits(X) if c.colors[u] == 2]
-    targets = {u for u in iter_bits(X) if c.colors[u] == 3}
-    parent = {u: -1 for u in sources}
-    frontier = list(sources)
-    found = None
-    while frontier and found is None:
-        nxt = []
-        for u in frontier:
-            for z in iter_bits(Gi.adj[u] & in_pair):
-                if z in parent:
-                    continue
-                parent[z] = u
-                if z in targets:
-                    found = z
-                    break
-                nxt.append(z)
-            if found is not None:
-                break
-        frontier = nxt
-    if found is None:
-        return ()
-    walk = [found]
-    while parent[walk[-1]] >= 0:
-        walk.append(parent[walk[-1]])
-    walk.reverse()
-    return tuple(walk)
+    sources = 0
+    for u in iter_bits(X):
+        if c.colors[u] == 2:
+            sources |= 1 << u
+    _, parent, order = bfs(Gi, sources, in_pair)
+    for z in order:
+        if X >> z & 1 and c.colors[z] == 3:
+            return tuple(path_to(parent, z))
+    return ()
 
 
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:

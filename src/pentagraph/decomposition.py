@@ -16,12 +16,14 @@ from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
 from .fixtures import petersen
 from .graph import (
     Graph,
+    bfs,
     bit_list,
     components_within,
     induced_subgraph,
     is_bipartite,
     iter_bits,
     mask_of,
+    path_to,
 )
 from .structure import (
     Embedding,
@@ -407,7 +409,8 @@ def _min_connector(G: Graph, hverts: list[int], D: int) -> InducedPath | None:
     for s in hverts:
         if not G.adj[s] & D:
             continue
-        dist, parent = _bfs_through(G, s, D)
+        # Distances through D, counted from the neighbors of s in D.
+        dist, parent, _ = bfs(G, G.adj[s] & D, D)
         for t in hverts:
             if t == s or G.has_edge(s, t):
                 continue
@@ -415,39 +418,12 @@ def _min_connector(G: Graph, hverts: list[int], D: int) -> InducedPath | None:
                 if dist[z] < 0:
                     continue
                 if best is None or dist[z] + 1 < best[0]:
-                    walk = [t, z]
-                    while parent[walk[-1]] >= 0:
-                        walk.append(parent[walk[-1]])
-                    walk.append(s)
-                    walk.reverse()
+                    walk = [s] + path_to(parent, z) + [t]
                     best = (dist[z] + 1, InducedPath(tuple(walk)))
     if best is None:
         return None
     best[1].validate(G)
     return best[1]
-
-
-def _bfs_through(G: Graph, s: int, allowed: int) -> tuple[list[int], list[int]]:
-    """Distances from s to vertices of `allowed` along paths whose
-    intermediate vertices all lie in `allowed`."""
-    dist = [-1] * G.n
-    parent = [-1] * G.n
-    frontier = []
-    seen = 0
-    for z in iter_bits(G.adj[s] & allowed):
-        dist[z] = 0
-        frontier.append(z)
-        seen |= 1 << z
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for z in iter_bits(G.adj[v] & allowed & ~seen):
-                seen |= 1 << z
-                dist[z] = dist[v] + 1
-                parent[z] = v
-                nxt.append(z)
-        frontier = nxt
-    return dist, parent
 
 
 def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutcome:

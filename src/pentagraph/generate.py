@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ContractViolation, SearchBudgetExceeded
-from .graph import Graph, HARD_MAX_VERTICES
+from .graph import Graph, HARD_MAX_VERTICES, iter_bits
 from .recognition import PENTAGRAPH, recognize
 from .structure import SearchBudget, enumerate_induced_paths
 
@@ -75,20 +75,15 @@ class CorpusSpec:
 
 def _ball3(adj: list[int], u: int) -> int:
     """Vertices within distance three of u, as a mask."""
+    # Kept apart from graph.bfs: it runs on the enumerator's mutable rows,
+    # once per candidate edge in its innermost loop, and stops at depth 3.
     m = 1 << u | adj[u]
     for _ in range(2):
         grow = 0
-        for w in _bits(m):
+        for w in iter_bits(m):
             grow |= adj[w]
         m |= grow
     return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _far_apart(adj: list[int], u: int, v: int) -> bool:
@@ -96,40 +91,13 @@ def _far_apart(adj: list[int], u: int, v: int) -> bool:
     return not _ball3(adj, u) >> v & 1
 
 
-def enumerate_girth5_adj(n: int, emit) -> None:
-    """Call ``emit(adj)`` once per labeled graph on n vertices with girth
-    at least five; ``adj`` is a mutable row list valid only during the call.
-
-    Recursion over candidate edges, exclude branch first, so the stream is
-    deterministic and starts at the empty graph.
-    """
-    if n < 0:
-        raise ContractViolation("vertex count must be nonnegative")
-    cand = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(cand)
-    adj = [0] * n
-
-    def rec(i: int) -> None:
-        if i == m:
-            emit(adj)
-            return
-        rec(i + 1)
-        u, v = cand[i]
-        if _far_apart(adj, u, v):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rec(i + 1)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-
-    rec(0)
-
-
 def enumerate_girth5(n: int) -> Iterator[Graph]:
     """Stream every labeled girth-at-least-five graph on n vertices, each
-    exactly once, in the same order as :func:`enumerate_girth5_adj`.
+    exactly once.
 
-    Iterative stack walk, so the per-graph overhead stays flat.
+    Depth-first over the candidate edges in lexicographic order, exclude
+    branch first, so the stream is deterministic and starts at the empty
+    graph. Iterative stack walk, so the per-graph overhead stays flat.
     """
     if n < 0:
         raise ContractViolation("vertex count must be nonnegative")

@@ -148,6 +148,8 @@ def components(G: Graph) -> list[int]:
 
 def components_within(G: Graph, allowed: int) -> list[int]:
     """Components of the induced subgraph on ``allowed``, without relabeling."""
+    # Whole frontiers as masks, not bfs(): a component needs only what is
+    # reachable, not distances or parents.
     adj = G.adj
     out = []
     left = allowed
@@ -164,6 +166,53 @@ def components_within(G: Graph, allowed: int) -> list[int]:
         out.append(comp)
         left &= ~comp
     return out
+
+
+def bfs(
+    G: Graph, sources: int, allowed: int | None = None
+) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from every vertex of the mask ``sources`` at once,
+    entering only vertices of ``allowed`` (default: all).
+
+    Returns ``(dist, parent, order)``, the first two indexed by vertex.
+    ``dist`` is 0 on the sources and -1 where the search never got;
+    ``parent`` is the first vertex whose scan reached the vertex (queue
+    order), and -1 on sources and unreached vertices. ``order`` lists the
+    reached vertices as they were reached, sources first in ascending order,
+    so it is sorted by ``dist`` and every parent precedes its children.
+    """
+    if sources >> G.n:  # also true for a negative mask
+        raise ContractViolation("sources must be vertices of the graph")
+    adj = G.adj
+    dist = [-1] * G.n
+    parent = [-1] * G.n
+    unseen = (G.full_mask() if allowed is None else allowed) & ~sources
+    order = bit_list(sources)
+    for v in order:
+        dist[v] = 0
+    # The loop also visits the vertices appended to ``order`` inside it.
+    for v in order:
+        grow = adj[v] & unseen
+        if grow:
+            unseen ^= grow
+            d = dist[v] + 1
+            while grow:
+                low = grow & -grow
+                z = low.bit_length() - 1
+                dist[z] = d
+                parent[z] = v
+                order.append(z)
+                grow ^= low
+    return dist, parent, order
+
+
+def path_to(parent: list[int], v: int) -> list[int]:
+    """The tree path from the root of ``v``'s search to ``v``, root first."""
+    path = [v]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
 
 
 @dataclass(frozen=True)
@@ -184,16 +233,10 @@ class Layering:
 def bfs_layers(G: Graph, source: int) -> Layering:
     if not 0 <= source < G.n:
         raise ContractViolation(f"source {source} not a vertex of the graph")
-    adj = G.adj
-    layers = []
-    seen = frontier = 1 << source
-    while frontier:
-        layers.append(frontier)
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
+    dist, _, order = bfs(G, 1 << source)
+    layers = [0] * (dist[order[-1]] + 1)
+    for v in order:
+        layers[dist[v]] |= 1 << v
     return Layering(source, tuple(layers))
 
 
@@ -201,22 +244,8 @@ def distance(G: Graph, u: int, v: int):
     """Shortest path length between u and v; INFINITY when disconnected."""
     if not (0 <= u < G.n and 0 <= v < G.n):
         raise ContractViolation("distance endpoints must be vertices")
-    if u == v:
-        return 0
-    adj = G.adj
-    seen = frontier = 1 << u
-    target = 1 << v
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for w in iter_bits(frontier):
-            nxt |= adj[w]
-        frontier = nxt & ~seen
-        if frontier & target:
-            return d
-        seen |= frontier
-    return INFINITY
+    d = bfs(G, 1 << u)[0][v]
+    return INFINITY if d < 0 else d
 
 
 @dataclass(frozen=True)
@@ -231,17 +260,21 @@ class BipartiteCheck:
         return self.two_coloring is not None
 
 
-def is_bipartite(G: Graph) -> BipartiteCheck:
-    """BFS 2-coloring; on failure returns an odd closed walk as witness.
+def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
+    """BFS 2-coloring of the subgraph induced on ``within`` (default: all of
+    G); on failure returns an odd closed walk as witness.
 
-    The witness is a vertex sequence whose consecutive pairs (cyclically)
-    are edges and whose length is odd.
+    The 2-coloring is indexed by vertex of G and holds -1 outside
+    ``within``. The witness is a vertex sequence whose consecutive pairs
+    (cyclically) are edges and whose length is odd.
     """
-    n = G.n
+    # A search of its own rather than bfs(): it colors as it goes and stops
+    # at the first edge inside one side.
     adj = G.adj
-    side = [-1] * n
-    parent = [-1] * n
-    for s in range(n):
+    within = G.full_mask() if within is None else within & G.full_mask()
+    side = [-1] * G.n
+    parent = [-1] * G.n
+    for s in iter_bits(within):
         if side[s] >= 0:
             continue
         side[s] = 0
@@ -250,7 +283,7 @@ def is_bipartite(G: Graph) -> BipartiteCheck:
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            for y in iter_bits(adj[x]):
+            for y in iter_bits(adj[x] & within):
                 if side[y] < 0:
                     side[y] = side[x] ^ 1
                     parent[y] = x
@@ -301,42 +334,12 @@ def shortest_cycle(G: Graph) -> tuple[int, ...] | None:
 
 
 def _shortest_path_avoiding_edge(G, u, v, cap):
-    """Shortest u-v path not using the edge (u, v); None if none shorter
-    than ``cap`` exists. Returns the path as a vertex list."""
-    adj = G.adj
-    parent = {u: -1}
-    frontier = 1 << u
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        if cap is not None and d + 1 > cap:
-            # Even a hit at this depth gives a cycle longer than the best.
-            return None
-        nxt_masks = []
-        nxt = 0
-        for w in iter_bits(frontier):
-            out = adj[w]
-            if d == 1 and w == u:
-                out &= ~(1 << v)
-            grow = out & ~seen
-            if grow:
-                nxt_masks.append((w, grow & ~nxt))
-                nxt |= grow
-        if not nxt:
-            return None
-        for w, grow in nxt_masks:
-            for z in iter_bits(grow):
-                parent[z] = w
-        seen |= nxt
-        if nxt >> v & 1:
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        frontier = nxt
-    return None
+    """Shortest u-v path not using the edge (u, v); None if it closes a
+    cycle longer than ``cap``. Returns the path as a vertex list."""
+    dist, parent, _ = bfs(G, G.adj[u] & ~(1 << v), G.full_mask() & ~(1 << u))
+    if dist[v] < 0 or (cap is not None and dist[v] + 2 > cap):
+        return None
+    return [u] + path_to(parent, v)
 
 
 def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:

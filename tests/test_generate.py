@@ -17,7 +17,7 @@ from pentagraph import (
     random_pentagraph,
     recognize,
 )
-from pentagraph.generate import enumerate_girth5, enumerate_girth5_adj
+from pentagraph.generate import enumerate_girth5
 from pentagraph.graph import Graph
 
 from conftest import make_rng
@@ -51,14 +51,8 @@ def test_enumeration_stream_properties():
     assert graphs == list(enumerate_girth5(5))
     assert len(set(g.adj for g in graphs)) == len(graphs)
     assert all(girth(g) >= 5 for g in graphs)
-    # The callback walker visits the same stream in the same order.
-    seen = []
-    enumerate_girth5_adj(5, lambda adj: seen.append(tuple(adj)))
-    assert seen == [g.adj for g in graphs]
     with pytest.raises(ContractViolation):
         list(enumerate_girth5(-1))
-    with pytest.raises(ContractViolation):
-        enumerate_girth5_adj(-1, lambda adj: None)
 
 
 def test_random_grower_members_and_determinism():

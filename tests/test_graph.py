@@ -3,11 +3,13 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
     GraphConstructionError,
     INFINITY,
+    bfs,
     bfs_layers,
     bit_list,
     canonical_cycle,
@@ -23,6 +25,7 @@ from pentagraph import (
     shortest_cycle,
 )
 from pentagraph.fixtures import fixture
+from pentagraph.graph import path_to
 
 from conftest import make_rng
 from oracles import bits, o_distance, o_girth, o_is_bipartite
@@ -131,12 +134,48 @@ def test_distance_and_layers_match_oracle():
                 assert (lay.layer_of(v) is not None) == (covered >> v & 1 == 1)
 
 
+@st.composite
+def bfs_inputs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    sources = draw(st.integers(0, (1 << n) - 1))
+    allowed = draw(st.none() | st.integers(0, (1 << n) - 1))
+    return make_graph(n, edges), sources, allowed
+
+
+@settings(deadline=None)
+@given(bfs_inputs())
+def test_bfs_matches_networkx_and_builds_a_tree(case):
+    G, sources, allowed = case
+    dist, parent, order = bfs(G, sources, allowed)
+    inside = G.full_mask() if allowed is None else allowed | sources
+    H = to_nx(G).subgraph(bit_list(inside))
+    want = dict(nx.multi_source_dijkstra_path_length(H, bit_list(sources))) if sources else {}
+    assert {v: d for v, d in enumerate(dist) if d >= 0} == want
+    assert sorted(order) == sorted(want)
+    assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+    position = {v: i for i, v in enumerate(order)}
+    for v in range(G.n):
+        p = parent[v]
+        if dist[v] <= 0:
+            assert p == -1
+            continue
+        assert G.has_edge(p, v) and dist[p] == dist[v] - 1
+        assert position[p] < position[v]
+        path = path_to(parent, v)
+        assert len(path) == dist[v] + 1 and sources >> path[0] & 1
+
+
 def test_distance_validates_endpoints():
     G = make_graph(2, [(0, 1)])
     with pytest.raises(ContractViolation):
         distance(G, 0, 2)
     with pytest.raises(ContractViolation):
         bfs_layers(G, -1)
+    for sources in (1 << 2, -1):
+        with pytest.raises(ContractViolation):
+            bfs(G, sources)
 
 
 def test_is_bipartite_against_networkx():
@@ -158,6 +197,23 @@ def test_is_bipartite_against_networkx():
             assert len(set(cyc)) == len(cyc)
             for i, u in enumerate(cyc):
                 assert G.has_edge(u, cyc[(i + 1) % len(cyc)])
+
+
+def test_is_bipartite_within_a_subset():
+    rng = make_rng("bipartite-within")
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        G = rand_graph(rng, n, 0.35)
+        within = rng.randrange(1 << n)
+        check = is_bipartite(G, within=within)
+        H = to_nx(G).subgraph(bit_list(within))
+        assert bool(check) == nx.is_bipartite(H)
+        if check:
+            col = check.two_coloring
+            assert [c >= 0 for c in col] == [within >> v & 1 == 1 for v in range(n)]
+            assert all(col[u] != col[v] for u, v in H.edges())
+        else:
+            assert all(within >> v & 1 for v in check.odd_cycle)
 
 
 def test_canonical_cycle():
