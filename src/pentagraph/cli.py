@@ -273,26 +273,42 @@ def cmd_recognize(args) -> int:
     return _verdict_exit(rep.verdict)
 
 
-def cmd_color(args) -> int:
-    started = time.perf_counter()
-    G, descriptor = _read_graph(args)
+def _search_member(args, command: str, descriptor: str, G: Graph, started: float,
+                   search, what: str):
+    """Run ``search(G, budget)`` once recognition accepts G as a member.
+
+    Returns (None, result), or (exit code, None) after writing a refusal
+    report: the recognition for a non-member, or the budget running out
+    before the search found a ``what``.
+    """
     rep = recognize(G, _budget(args))
     if rep.verdict != PENTAGRAPH:
         _report(
-            args, f"color{args.k}", descriptor,
+            args, command, descriptor,
             {"refused": True, "recognition": _ser_recognition(rep)},
             exhausted=rep.verdict == INDETERMINATE, started=started,
         )
-        return _verdict_exit(rep.verdict)
+        return _verdict_exit(rep.verdict), None
     try:
-        col = three_color(G, _budget(args)) if args.k == 3 else four_color(G)
+        return None, search(G, _budget(args))
     except SearchBudgetExceeded:
         _report(
-            args, f"color{args.k}", descriptor,
-            {"refused": True, "reason": "budget exhausted before a coloring"},
+            args, command, descriptor,
+            {"refused": True, "reason": f"budget exhausted before a {what}"},
             exhausted=True, started=started,
         )
-        return 2
+        return 2, None
+
+
+def cmd_color(args) -> int:
+    started = time.perf_counter()
+    G, descriptor = _read_graph(args)
+    search = three_color if args.k == 3 else lambda G, budget: four_color(G)
+    code, col = _search_member(
+        args, f"color{args.k}", descriptor, G, started, search, "coloring"
+    )
+    if code is not None:
+        return code
     if not verify_coloring(G, col):
         raise InvariantViolation("emitted coloring failed verification")
     if args.emit == "dot":
@@ -309,23 +325,11 @@ def cmd_color(args) -> int:
 def cmd_decompose(args) -> int:
     started = time.perf_counter()
     G, descriptor = _read_graph(args)
-    rep = recognize(G, _budget(args))
-    if rep.verdict != PENTAGRAPH:
-        _report(
-            args, "decompose", descriptor,
-            {"refused": True, "recognition": _ser_recognition(rep)},
-            exhausted=rep.verdict == INDETERMINATE, started=started,
-        )
-        return _verdict_exit(rep.verdict)
-    try:
-        out = decompose(G, _budget(args))
-    except SearchBudgetExceeded:
-        _report(
-            args, "decompose", descriptor,
-            {"refused": True, "reason": "budget exhausted before a certificate"},
-            exhausted=True, started=started,
-        )
-        return 2
+    code, out = _search_member(
+        args, "decompose", descriptor, G, started, decompose, "certificate"
+    )
+    if code is not None:
+        return code
     _report(args, "decompose", descriptor, _ser_outcome(out), exhausted=False,
             started=started)
     return 0 if out.variant != "none_found" else 1

@@ -288,8 +288,6 @@ def _color_any(G: Graph, budget: SearchBudget, depth: int) -> Coloring:
 
 
 def _color_connected(G: Graph, budget: SearchBudget, depth: int) -> Coloring:
-    if depth < 0:
-        raise InvariantViolation("coloring recursion exceeded its depth bound")
     outcome = decompose(G, budget)
     if outcome.variant == "bipartite":
         return Coloring(3, outcome.two_coloring)

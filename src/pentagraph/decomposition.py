@@ -2,9 +2,12 @@
 
 Every certificate type here is validated from scratch before it leaves the
 module: a cutset that does not actually disconnect the graph, or a star
-whose leaf pairs miss their even paths, is never returned. The star-cutset
-builder reads candidate centers and leaves off the short-jump structure of
-a pentagon and falls back to a bounded exhaustive search.
+whose leaf pairs miss their even paths, is never returned. Strong parity
+star-cutsets come from one pipeline of three steps: a clique cutset is
+turned into a star directly (``clique_cutset_star``); the builder for one
+5-hole reads candidate centers and leaves off its short-jump structure
+(``_jump_star``); and the star arm (``find_star_cutset``) runs that builder
+on every 5-hole, then one bounded exhaustive sweep.
 """
 
 from __future__ import annotations
@@ -205,20 +208,33 @@ def _minimize_star(G: Graph, cert: ParityStarCutset, budget: SearchBudget) -> Pa
     return cert
 
 
-def _clique_star_candidates(clique: tuple[int, ...]) -> list[tuple[int, int]]:
-    if len(clique) == 1:
-        return [(clique[0], 0)]
-    u, v = clique
-    return [(u, 1 << v), (v, 1 << u)]
+def clique_cutset_star(
+    G: Graph, clique: tuple[int, ...], budget: SearchBudget
+) -> ParityStarCutset | None:
+    """The strong star a clique cutset yields, verified and leaf-minimal.
+
+    Each clique vertex in turn is the center and the rest are its leaves:
+    a cut vertex has no leaves, a cut edge one. None when no candidate
+    verifies as strong, which takes a disconnected graph.
+    """
+    for center in clique:
+        leaves = mask_of(clique) & ~(1 << center)
+        cert = verify_parity_star_cutset(G, center, leaves, budget)
+        if cert is not None and cert.strong:
+            return _minimize_star(G, cert, budget)
+    return None
+
+
+MAX_LEAF_POOL = 12
 
 
 def bruteforce_star_search(
-    G: Graph, budget: SearchBudget | None = None, max_leaf_pool: int = 12
+    G: Graph, budget: SearchBudget | None = None
 ) -> ParityStarCutset | None:
     """Exhaustive strong-star search: centers ascending, leaf subsets of
     the center's neighborhood by increasing size.
 
-    Exponential in the degree; centers with more than ``max_leaf_pool``
+    Exponential in the degree; centers with more than ``MAX_LEAF_POOL``
     neighbors are skipped, and if nothing was found while some center was
     skipped the search is incomplete, which raises rather than returning a
     false None.
@@ -228,7 +244,7 @@ def bruteforce_star_search(
     capped = False
     for x in range(G.n):
         nbrs = bit_list(G.adj[x])
-        if len(nbrs) > max_leaf_pool:
+        if len(nbrs) > MAX_LEAF_POOL:
             capped = True
             continue
         for size in range(len(nbrs) + 1):
@@ -239,42 +255,19 @@ def bruteforce_star_search(
                     return _minimize_star(G, cert, budget)
     if capped:
         raise SearchBudgetExceeded(
-            f"star search skipped centers with more than {max_leaf_pool} neighbors"
+            f"star search skipped centers with more than {MAX_LEAF_POOL} neighbors"
         )
     return None
 
 
-def find_strong_parity_star_cutset(
-    G: Graph,
-    C: Hole,
-    budget: SearchBudget | None = None,
-    *,
-    _use_fallback: bool = True,
-) -> ParityStarCutset | None:
-    """Build a strong parity star-cutset from the jump structure of the
-    5-hole C, or fall back to the exhaustive search.
+def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | None:
+    """The star-cutset builder for one 5-hole C.
 
-    Pipeline: a clique cutset is converted directly (cut vertex: that
-    vertex with no leaves; cut edge: one end as center, the other as the
-    single leaf). Otherwise the pentagon is renumbered (all ten ways) so
-    that short and local jumps avoid one side of it, candidate cutsets are
-    read off the short-jump interiors next to the quiet side, and each
-    candidate is validated from scratch. Every returned certificate is
-    strong and leaf-minimal.
+    The pentagon is renumbered (all ten ways) so that short and local jumps
+    avoid one side of it, candidate cutsets are read off the short-jump
+    interiors next to the quiet side, and each candidate is validated from
+    scratch. None when no candidate verifies as strong.
     """
-    if C.length != 5:
-        raise ContractViolation("the hole must have length five")
-    C.validate(G)
-    if budget is None:
-        budget = SearchBudget.fresh()
-
-    clique = find_clique_cutset(G)
-    if clique is not None:
-        for center, leaves in _clique_star_candidates(clique):
-            cert = verify_parity_star_cutset(G, center, leaves, budget)
-            if cert is not None and cert.strong:
-                return _minimize_star(G, cert, budget)
-
     scan = find_jumps(G, C, budget=budget)
     if not scan.complete:
         raise SearchBudgetExceeded("jump enumeration exhausted its budget")
@@ -320,10 +313,41 @@ def find_strong_parity_star_cutset(
             cert = verify_parity_star_cutset(G, center, leaves, budget)
             if cert is not None and cert.strong:
                 return _minimize_star(G, cert, budget)
-
-    if _use_fallback:
-        return bruteforce_star_search(G, budget)
     return None
+
+
+def find_star_cutset(G: Graph, budget: SearchBudget) -> ParityStarCutset | None:
+    """The star arm for a graph with no clique cutset: the jump builder on
+    every 5-hole in turn, then one exhaustive sweep."""
+    for hole in five_holes(G, budget):
+        cert = _jump_star(G, hole, budget)
+        if cert is not None:
+            return cert
+    return bruteforce_star_search(G, budget)
+
+
+def find_strong_parity_star_cutset(
+    G: Graph, C: Hole, budget: SearchBudget | None = None
+) -> ParityStarCutset | None:
+    """A strong parity star-cutset, tried first from a clique cutset, then
+    from the jump structure of the 5-hole C, then by the exhaustive sweep.
+
+    Every returned certificate is strong and leaf-minimal.
+    """
+    if C.length != 5:
+        raise ContractViolation("the hole must have length five")
+    C.validate(G)
+    if budget is None:
+        budget = SearchBudget.fresh()
+    clique = find_clique_cutset(G)
+    if clique is not None:
+        cert = clique_cutset_star(G, clique, budget)
+        if cert is not None:
+            return cert
+    cert = _jump_star(G, C, budget)
+    if cert is not None:
+        return cert
+    return bruteforce_star_search(G, budget)
 
 
 ATTACH_MANY = "three_or_more_neighbors"
@@ -431,8 +455,8 @@ def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutc
     certificate: bipartite, low_degree, petersen, clique_cut, p3, star,
     or none_found.
 
-    Cheap checks run first. The star arm tries the constructive builder on
-    every 5-hole, then one exhaustive fallback sweep. Budget exhaustion in
+    Cheap checks run first. The clique cutset is looked for once; the star
+    arm, find_star_cutset, runs only when there is none. Budget exhaustion in
     the sub-searches propagates; none_found is reachable only for inputs
     outside the class.
     """
@@ -456,11 +480,7 @@ def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutc
     p3 = find_p3_cutset(G)
     if p3 is not None:
         return DecompositionOutcome("p3", p3=p3)
-    for hole in five_holes(G, budget):
-        cert = find_strong_parity_star_cutset(G, hole, budget, _use_fallback=False)
-        if cert is not None:
-            return DecompositionOutcome("star", star=cert)
-    cert = bruteforce_star_search(G, budget)
+    cert = find_star_cutset(G, budget)
     if cert is not None:
         return DecompositionOutcome("star", star=cert)
     return DecompositionOutcome("none_found")

@@ -24,8 +24,7 @@ from typing import Iterator
 
 from .errors import ContractViolation, SearchBudgetExceeded
 from .graph import Graph, HARD_MAX_VERTICES, iter_bits
-from .recognition import PENTAGRAPH, recognize
-from .structure import SearchBudget, enumerate_induced_paths
+from .structure import SearchBudget, enumerate_induced_paths, find_long_odd_hole
 
 EXHAUSTIVE_MAX_N = 10
 
@@ -212,7 +211,7 @@ def generate_corpus(spec: CorpusSpec, budget: SearchBudget | None = None) -> Cor
     """Stream members of the class per ``spec``.
 
     Exhaustive mode walks every labeled girth-at-least-five graph with
-    n_min <= n <= n_max and keeps those the recognizer accepts. Random
+    n_min <= n <= n_max and keeps those with no odd hole above five. Random
     mode emits ``target_count`` graphs grown by seeded edge insertion,
     sizes drawn uniformly from [n_min, n_max]. Fixed seeds give identical
     streams across runs.
@@ -233,18 +232,20 @@ def _exhaustive(spec: CorpusSpec, budget: SearchBudget, stream: CorpusStream):
         for G in enumerate_girth5(n):
             if spec.target_count is not None and emitted >= spec.target_count:
                 return
+            # The enumerator builds girth >= 5 only, so membership is the
+            # absence of a long odd hole; a probe that runs dry still
+            # charges what it spent.
+            sub = SearchBudget(max(budget.remaining, 1))
+            before = sub.remaining
             try:
-                sub = SearchBudget(max(budget.remaining, 1))
-                before = sub.remaining
-                report = recognize(G, sub)
-                budget.spend(before - sub.remaining)
+                try:
+                    hole = find_long_odd_hole(G, sub)
+                finally:
+                    budget.spend(before - sub.remaining)
             except SearchBudgetExceeded:
                 stream.truncated = True
                 return
-            if report.indeterminate:
-                stream.truncated = True
-                return
-            if report.verdict == PENTAGRAPH:
+            if hole is None:
                 emitted += 1
                 yield G
 

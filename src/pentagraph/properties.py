@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 from .coloring import four_color
 from .decomposition import (
-    bruteforce_star_search,
+    clique_cutset_star,
     decompose,
     find_clique_cutset,
     find_p3_cutset,
-    find_strong_parity_star_cutset,
+    find_star_cutset,
     revalidate_outcome,
-    verify_parity_star_cutset,
 )
 from .errors import InvariantViolation, SearchBudgetExceeded
 from .fixtures import fixture
@@ -91,26 +90,13 @@ def check_p2_extension(G: Graph, budget: SearchBudget | None = None) -> CheckRes
         if clique is not None:
             # A cut vertex or cut edge always yields a strong star; verify
             # rather than assume.
-            centers = [(clique[0], 0)]
-            if len(clique) == 2:
-                centers = [
-                    (clique[0], 1 << clique[1]),
-                    (clique[1], 1 << clique[0]),
-                ]
-            for center, leaves in centers:
-                cert = verify_parity_star_cutset(G, center, leaves, budget)
-                if cert is not None and cert.strong:
-                    return CheckResult(True, detail="clique cutset, strong star verified")
-            return CheckResult(
-                False, detail="clique cutset yields no strong star", witness=clique
-            )
-        for hole in five_holes(G, budget):
-            cert = find_strong_parity_star_cutset(G, hole, budget, _use_fallback=False)
-            if cert is not None:
-                return CheckResult(True, detail="strong parity star-cutset found")
-        cert = bruteforce_star_search(G, budget)
-        if cert is not None and cert.strong:
-            return CheckResult(True, detail="strong parity star-cutset found by sweep")
+            if clique_cutset_star(G, clique, budget) is None:
+                return CheckResult(
+                    False, detail="clique cutset yields no strong star", witness=clique
+                )
+            return CheckResult(True, detail="clique cutset, strong star verified")
+        if find_star_cutset(G, budget) is not None:
+            return CheckResult(True, detail="strong parity star-cutset found")
     except SearchBudgetExceeded:
         return CheckResult(True, indeterminate=True, detail="budget ran out")
     return CheckResult(False, detail="no qualifying cutset and not a reference graph")

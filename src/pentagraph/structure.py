@@ -358,26 +358,18 @@ class Jump:
 
 @dataclass(frozen=True)
 class JumpScan:
-    """All jumps over one 5-hole. ``complete`` is False when a budget or
-    interior-size cap stopped the scan before exhausting the search."""
+    """All jumps over one 5-hole. ``complete`` is False when the budget
+    stopped the scan before exhausting the search."""
 
     jumps: tuple[Jump, ...]
     complete: bool
 
 
-def find_jumps(
-    G: Graph,
-    C: Hole,
-    *,
-    local_only: bool = False,
-    max_interior: int | None = None,
-    budget: SearchBudget | None = None,
-) -> JumpScan:
+def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> JumpScan:
     """Enumerate and classify the jumps over the 5-hole C.
 
-    With ``max_interior`` set, paths with more interior vertices are not
-    explored and the scan reports complete=False. A budget exhaustion also
-    yields complete=False with the jumps collected so far.
+    A budget exhaustion yields complete=False with the jumps collected so
+    far.
     """
     if C.length != 5:
         raise ContractViolation("jumps are defined over 5-holes")
@@ -387,9 +379,8 @@ def find_jumps(
     cmask = C.mask()
     cyc = C.vertices
     allowed = G.full_mask() & ~cmask
-    max_len = None if max_interior is None else max_interior + 1
     jumps: list[Jump] = []
-    complete = max_interior is None
+    complete = True
     pairs = []
     for i in range(5):
         s, t = cyc[i], cyc[(i + 2) % 5]
@@ -398,14 +389,10 @@ def find_jumps(
     pairs.sort()
     try:
         for s, t, across in pairs:
-            for p in enumerate_induced_paths(
-                G, s, t, allowed, min_len=3, max_len=max_len, budget=budget
-            ):
+            for p in enumerate_induced_paths(G, s, t, allowed, min_len=3, budget=budget):
                 jumps.append(_classify_jump(G, C, p, across))
     except SearchBudgetExceeded:
         complete = False
-    if local_only:
-        jumps = [j for j in jumps if j.kind != "general"]
     return JumpScan(tuple(jumps), complete)
 
 

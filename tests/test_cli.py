@@ -10,7 +10,14 @@ import sys
 
 import pytest
 
-from pentagraph import Coloring, NoDecompositionFound, cli, make_graph, verify_coloring
+from pentagraph import (
+    Coloring,
+    NoDecompositionFound,
+    SearchBudgetExceeded,
+    cli,
+    make_graph,
+    verify_coloring,
+)
 from pentagraph.cli import main
 from pentagraph.fixtures import fixture, petersen
 from pentagraph.formats import parse_graph6, write_graph6
@@ -123,6 +130,25 @@ def test_color3_library_failure_is_internal_error(capsys, monkeypatch):
     code, out, err = run(["color3", "fixture:petersen"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("internal error:")
+
+
+def test_search_budget_exhausted_after_recognition(capsys, monkeypatch):
+    # Recognition accepts the member, then the search itself runs dry.
+    def exhausted(G, budget=None):
+        raise SearchBudgetExceeded("search budget exhausted")
+
+    for command, name, what in (
+        ("color3", "three_color", "coloring"),
+        ("decompose", "decompose", "certificate"),
+    ):
+        monkeypatch.setattr(cli, name, exhausted)
+        code, out, _ = run([command, "fixture:petersen"], capsys)
+        rep = report(out)
+        assert code == 2
+        assert rep["outcome"] == {
+            "refused": True, "reason": f"budget exhausted before a {what}"
+        }
+        assert rep["budget"]["exhausted"] is True
 
 
 def test_color_dot_emission(capsys, tmp_path):

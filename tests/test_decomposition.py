@@ -16,13 +16,16 @@ from pentagraph import (
     find_low_degree,
     find_p3_cutset,
     find_strong_parity_star_cutset,
+    five_holes,
     make_graph,
     mask_of,
     naive_recognize,
+    parse_graph6,
     recognize,
     revalidate_outcome,
     verify_parity_star_cutset,
 )
+from pentagraph import decomposition
 from pentagraph.decomposition import (
     ATTACH_MANY,
     ATTACH_PAIR,
@@ -153,13 +156,58 @@ def test_weak_certificate():
 def test_find_strong_star_on_gadget():
     S = star_gadget()
     hole = Hole((0, 1, 3, 4, 9))
-    for use_fallback in (False, True):
-        cert = find_strong_parity_star_cutset(S, hole, _use_fallback=use_fallback)
-        assert cert.center == 0
-        assert cert.leaves == mask_of([1, 2])
-        assert cert.strong
+    cert = find_strong_parity_star_cutset(S, hole)
+    assert cert.center == 0
+    assert cert.leaves == mask_of([1, 2])
+    assert cert.strong
+    # The jump builder finds it on its own, before any sweep.
+    assert decomposition._jump_star(S, hole, SearchBudget.fresh()) == cert
     bf = bruteforce_star_search(S)
     assert (bf.center, bf.leaves) == (0, mask_of([1, 2]))
+
+
+def test_find_strong_star_from_clique_cutset():
+    # Two pentagons sharing vertex 0: the cut vertex is a star with no leaves.
+    G = make_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                       (0, 5), (5, 6), (6, 7), (7, 8), (8, 0)])
+    cert = find_strong_parity_star_cutset(G, Hole((0, 1, 2, 3, 4)))
+    assert cert == ParityStarCutset(
+        0, 0, mask_of([1, 2, 3, 4]), True, (mask_of([1, 2, 3, 4]), mask_of([5, 6, 7, 8]))
+    )
+    # Two pentagons sharing the edge 0-1: one end is the center, the other
+    # its only leaf.
+    G = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                       (1, 5), (5, 6), (6, 7), (7, 0)])
+    cert = find_strong_parity_star_cutset(G, Hole((0, 1, 2, 3, 4)))
+    assert cert == ParityStarCutset(
+        0, mask_of([1]), mask_of([2, 3, 4]), True, (mask_of([2, 3, 4]), mask_of([5, 6, 7]))
+    )
+
+
+# Off-class (it has triangles), but with minimum degree 3, no clique cutset
+# and no cut path, so decompose tries the star builder on both 5-holes and
+# then finds a star in the exhaustive sweep. Found by a seeded G(n, p)
+# search over n = 8..14 and minimum degree >= 3.
+STAR_ARM_G6 = "Ghd^|c"
+
+
+def test_decompose_star_arm(monkeypatch):
+    G = parse_graph6(STAR_ARM_G6)
+    assert len(five_holes(G)) == 2
+    assert find_p3_cutset(G) is None
+    scans = []
+    real_scan = decomposition.find_clique_cutset
+    monkeypatch.setattr(
+        decomposition, "find_clique_cutset", lambda G: scans.append(1) or real_scan(G)
+    )
+    out = decompose(G)
+    assert out.variant == "star"
+    assert out.star == ParityStarCutset(
+        6, mask_of([0, 2, 5]), mask_of([1]), True, (mask_of([1]), mask_of([3, 4, 7]))
+    )
+    revalidate_outcome(G, out)
+    # decompose has already ruled out a clique cutset; no 5-hole scans again.
+    assert len(scans) == 1
 
 
 def test_no_star_cutset_in_petersen():
@@ -175,13 +223,14 @@ def test_no_star_cutset_in_petersen():
         find_strong_parity_star_cutset(P, hole, budget=SearchBudget(2))
 
 
-def test_bruteforce_star_cap():
+def test_bruteforce_star_cap(monkeypatch):
     # A high-degree center is skipped; with nothing found the search
     # refuses to answer instead of claiming absence.
     star14 = make_graph(14, [(0, v) for v in range(1, 14)])
     with pytest.raises(SearchBudgetExceeded):
         bruteforce_star_search(star14)
-    cert = bruteforce_star_search(star14, max_leaf_pool=13)
+    monkeypatch.setattr(decomposition, "MAX_LEAF_POOL", 13)
+    cert = bruteforce_star_search(star14)
     assert cert is not None and cert.center == 0 and cert.leaves == 0
 
 

@@ -252,11 +252,6 @@ def test_find_jumps_general_and_filters():
         ("short", (0, 2, 5, 4), 9),
         ("general", (1, 6, 7, 8, 2, 5, 4), 3),
     ]
-    only_local = find_jumps(S, C, local_only=True)
-    assert [j.kind for j in only_local.jumps] == ["short"]
-    capped = find_jumps(S, C, max_interior=2)
-    assert not capped.complete
-    assert [j.kind for j in capped.jumps] == ["short"]
 
 
 def test_find_jumps_rejects_bad_input():
