@@ -102,7 +102,6 @@ from .structure import (
     Hole,
     InducedPath,
     Jump,
-    JumpScan,
     SearchBudget,
     contains_induced,
     default_max_steps,

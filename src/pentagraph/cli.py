@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="search step budget (default: PENTA_MAX_STEPS or "
             f"{default_max_steps()})",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for seeded commands")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for batch runs")
 
     p = sub.add_parser("recognize", help="decide class membership")
@@ -109,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="generate a corpus as graph6 lines")
     add_common(p)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--seed", type=int, default=0, help="seed for random mode")
     p.add_argument("--n-min", type=int, default=0)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--count", type=int, default=None, help="graphs to emit (random mode)")
@@ -170,6 +170,18 @@ def _budget_cap(args) -> int:
     return args.max_steps if args.max_steps is not None else default_max_steps()
 
 
+def _read_ascii(path: str) -> str:
+    """The file's text with universal newlines; a byte outside ASCII is a
+    parse error at its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}", exc.start) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_graph(args) -> tuple[Graph, str]:
     spec = args.input
     if spec.startswith("fixture:"):
@@ -177,8 +189,7 @@ def _read_graph(args) -> tuple[Graph, str]:
     if spec == "-":
         text = sys.stdin.read()
     else:
-        with open(spec, "r", encoding="ascii") as fh:
-            text = fh.read()
+        text = _read_ascii(spec)
     if args.format == "dimacs":
         return parse_dimacs(text), spec
     if args.format == "json":
@@ -398,8 +409,10 @@ def _json_safe(value):
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    with open(args.corpus, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = [
+        ln.strip() for ln in _read_ascii(args.corpus).split("\n")
+        if ln.strip() and not ln.startswith("#")
+    ]
     cap = _budget_cap(args)
     tasks = [(args.which, ln, cap) for ln in lines]
     if args.jobs > 1 and len(tasks) > 1:

@@ -7,7 +7,7 @@ star-cutsets come from one pipeline of three steps: a clique cutset is
 turned into a star directly (``clique_cutset_star``); the builder for one
 5-hole reads candidate centers and leaves off its short-jump structure
 (``_jump_star``); and the star arm (``find_star_cutset``) runs that builder
-on every 5-hole, then one bounded exhaustive sweep.
+on every 5-hole, then one exhaustive sweep bounded only by the budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
+from .errors import ContractViolation, InvariantViolation
 from .fixtures import petersen
 from .graph import (
     Graph,
@@ -225,38 +225,30 @@ def clique_cutset_star(
     return None
 
 
+# Centers with more neighbors than this are tried last: their leaf subsets
+# are the most numerous, and the budget is the only bound on the search.
 MAX_LEAF_POOL = 12
 
 
 def bruteforce_star_search(
     G: Graph, budget: SearchBudget | None = None
 ) -> ParityStarCutset | None:
-    """Exhaustive strong-star search: centers ascending, leaf subsets of
-    the center's neighborhood by increasing size.
+    """Exhaustive strong-star search: centers ascending, those with more
+    than ``MAX_LEAF_POOL`` neighbors after all others, leaf subsets of the
+    center's neighborhood by increasing size.
 
-    Exponential in the degree; centers with more than ``MAX_LEAF_POOL``
-    neighbors are skipped, and if nothing was found while some center was
-    skipped the search is incomplete, which raises rather than returning a
-    false None.
+    Exponential in the degree; None only after every center was tried.
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    capped = False
-    for x in range(G.n):
+    for x in sorted(range(G.n), key=lambda x: G.degree(x) > MAX_LEAF_POOL):
         nbrs = bit_list(G.adj[x])
-        if len(nbrs) > MAX_LEAF_POOL:
-            capped = True
-            continue
         for size in range(len(nbrs) + 1):
             for combo in combinations(nbrs, size):
                 budget.spend()
                 cert = verify_parity_star_cutset(G, x, mask_of(combo), budget)
                 if cert is not None and cert.strong:
                     return _minimize_star(G, cert, budget)
-    if capped:
-        raise SearchBudgetExceeded(
-            f"star search skipped centers with more than {MAX_LEAF_POOL} neighbors"
-        )
     return None
 
 
@@ -268,13 +260,10 @@ def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | No
     interiors next to the quiet side, and each candidate is validated from
     scratch. None when no candidate verifies as strong.
     """
-    scan = find_jumps(G, C, budget=budget)
-    if not scan.complete:
-        raise SearchBudgetExceeded("jump enumeration exhausted its budget")
     shorts: dict[int, list] = {c: [] for c in C.vertices}
     locals_: dict[int, list] = {c: [] for c in C.vertices}
     short_interiors = 0
-    for j in scan.jumps:
+    for j in find_jumps(G, C, budget=budget):
         if j.kind == "short":
             shorts[j.across].append(j)
             short_interiors |= j.path.interior_mask()

@@ -174,6 +174,11 @@ def parse_json_graph(text: str) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 0) from None
+    except ValueError:
+        # Only an integer past Python's int-conversion digit limit gets here.
+        raise ParseError("invalid JSON: integer has too many digits", 0) from None
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object with 'n' and 'edges'", 0)
     n = data.get("n")

@@ -193,7 +193,7 @@ class CorpusStream:
     step budget ran dry; ``produced`` counts graphs handed out so far.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner: Iterator[Graph]):
         self._inner = inner
         self.truncated = False
         self.produced = 0
@@ -202,7 +202,11 @@ class CorpusStream:
         return self
 
     def __next__(self) -> Graph:
-        g = next(self._inner)
+        try:
+            g = next(self._inner)
+        except SearchBudgetExceeded:
+            self.truncated = True
+            raise StopIteration from None
         self.produced += 1
         return g
 
@@ -218,44 +222,26 @@ def generate_corpus(spec: CorpusSpec, budget: SearchBudget | None = None) -> Cor
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    stream = CorpusStream(iter(()))
     if spec.mode == "exhaustive":
-        stream._inner = _exhaustive(spec, budget, stream)
-    else:
-        stream._inner = _random(spec, budget, stream)
-    return stream
+        return CorpusStream(_exhaustive(spec, budget))
+    return CorpusStream(_random(spec, budget))
 
 
-def _exhaustive(spec: CorpusSpec, budget: SearchBudget, stream: CorpusStream):
+def _exhaustive(spec: CorpusSpec, budget: SearchBudget) -> Iterator[Graph]:
     emitted = 0
     for n in range(spec.n_min, spec.n_max + 1):
         for G in enumerate_girth5(n):
             if spec.target_count is not None and emitted >= spec.target_count:
                 return
             # The enumerator builds girth >= 5 only, so membership is the
-            # absence of a long odd hole; a probe that runs dry still
-            # charges what it spent.
-            sub = SearchBudget(max(budget.remaining, 1))
-            before = sub.remaining
-            try:
-                try:
-                    hole = find_long_odd_hole(G, sub)
-                finally:
-                    budget.spend(before - sub.remaining)
-            except SearchBudgetExceeded:
-                stream.truncated = True
-                return
-            if hole is None:
+            # absence of a long odd hole.
+            if find_long_odd_hole(G, budget) is None:
                 emitted += 1
                 yield G
 
 
-def _random(spec: CorpusSpec, budget: SearchBudget, stream: CorpusStream):
+def _random(spec: CorpusSpec, budget: SearchBudget) -> Iterator[Graph]:
     rng = random.Random(spec.seed)
     for _ in range(spec.target_count):
         n = rng.randint(spec.n_min, spec.n_max)
-        try:
-            yield random_pentagraph(n, rng, spec.edge_probability, budget)
-        except SearchBudgetExceeded:
-            stream.truncated = True
-            return
+        yield random_pentagraph(n, rng, spec.edge_probability, budget)

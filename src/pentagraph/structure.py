@@ -356,20 +356,11 @@ class Jump:
             raise InvariantViolation("'across' vertex must neighbor both ends")
 
 
-@dataclass(frozen=True)
-class JumpScan:
-    """All jumps over one 5-hole. ``complete`` is False when the budget
-    stopped the scan before exhausting the search."""
-
-    jumps: tuple[Jump, ...]
-    complete: bool
-
-
-def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> JumpScan:
+def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tuple[Jump, ...]:
     """Enumerate and classify the jumps over the 5-hole C.
 
-    A budget exhaustion yields complete=False with the jumps collected so
-    far.
+    Like every search here, running out of budget raises
+    SearchBudgetExceeded; a partial list is never returned.
     """
     if C.length != 5:
         raise ContractViolation("jumps are defined over 5-holes")
@@ -379,21 +370,17 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> Jump
     cmask = C.mask()
     cyc = C.vertices
     allowed = G.full_mask() & ~cmask
-    jumps: list[Jump] = []
-    complete = True
     pairs = []
     for i in range(5):
         s, t = cyc[i], cyc[(i + 2) % 5]
         across = cyc[(i + 1) % 5]
         pairs.append((min(s, t), max(s, t), across))
     pairs.sort()
-    try:
-        for s, t, across in pairs:
-            for p in enumerate_induced_paths(G, s, t, allowed, min_len=3, budget=budget):
-                jumps.append(_classify_jump(G, C, p, across))
-    except SearchBudgetExceeded:
-        complete = False
-    return JumpScan(tuple(jumps), complete)
+    return tuple(
+        _classify_jump(G, C, p, across)
+        for s, t, across in pairs
+        for p in enumerate_induced_paths(G, s, t, allowed, min_len=3, budget=budget)
+    )
 
 
 def _classify_jump(G: Graph, C: Hole, p: InducedPath, across: int) -> Jump:

@@ -311,3 +311,30 @@ def test_report_to_file(capsys, tmp_path):
     assert text.endswith("\n")
     rep = json.loads(text)
     assert rep["command"] == "recognize" and rep["outcome"]["verdict"] == "pentagraph"
+
+
+def test_unparseable_files_are_parse_errors(capsys, tmp_path):
+    # A byte outside ASCII, and JSON nested past the recursion limit, are
+    # parse errors with an offset, not tracebacks.
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"Dhc\n\xff\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv, fragment in (
+        (["recognize", str(bad)], "non-ASCII byte 0xff (byte offset 4)"),
+        (["verify", "t12", str(bad)], "non-ASCII byte 0xff (byte offset 4)"),
+        (["recognize", str(deep), "--format", "json"], "nested too deeply"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:") and fragment in err, argv
+
+
+def test_seed_is_a_corpus_option(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(write_graph6(fixture("c5")) + "\n")
+    for argv in (["recognize", "fixture:c5"], ["color3", "fixture:c5"],
+                 ["color4", "fixture:c5"], ["decompose", "fixture:c5"],
+                 ["verify", "t12", str(corpus)], ["oracle", "fixture:c5"]):
+        code, out, err = run(argv + ["--seed", "1"], capsys)
+        assert code == 3 and out == "" and err.startswith("error:"), argv

@@ -223,15 +223,15 @@ def test_no_star_cutset_in_petersen():
         find_strong_parity_star_cutset(P, hole, budget=SearchBudget(2))
 
 
-def test_bruteforce_star_cap(monkeypatch):
-    # A high-degree center is skipped; with nothing found the search
-    # refuses to answer instead of claiming absence.
+def test_bruteforce_star_cap():
+    # A center with more than MAX_LEAF_POOL neighbors is tried last, not
+    # skipped: only the budget bounds the search.
     star14 = make_graph(14, [(0, v) for v in range(1, 14)])
-    with pytest.raises(SearchBudgetExceeded):
-        bruteforce_star_search(star14)
-    monkeypatch.setattr(decomposition, "MAX_LEAF_POOL", 13)
+    assert star14.degree(0) > decomposition.MAX_LEAF_POOL
     cert = bruteforce_star_search(star14)
     assert cert is not None and cert.center == 0 and cert.leaves == 0
+    with pytest.raises(SearchBudgetExceeded):
+        bruteforce_star_search(star14, SearchBudget(5))
 
 
 def test_analyze_attachment_cases():

@@ -2,6 +2,7 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     ParseError,
@@ -15,6 +16,7 @@ from pentagraph import (
     write_json_graph,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
+from pentagraph.graph import HARD_MAX_VERTICES
 
 from conftest import make_rng
 from test_graph import rand_graph, to_nx
@@ -158,6 +160,66 @@ def test_json_errors():
         parse_json_graph('{"n": 3, "edges": 7}')
     with pytest.raises(ParseError):
         parse_json_graph('{"n": 3, "edges": [[0, 5]]}')
+
+
+def test_json_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_json_graph("[" * 100_000)
+
+
+def test_json_overlong_integer_is_a_parse_error():
+    digits = "1" * 5000
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_json_graph(f'{{"n": {digits}, "edges": []}}')
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_json_graph(f'{{"n": 3, "edges": [[0, {digits}]]}}')
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, HARD_MAX_VERTICES))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=3 * n if n > 1 else 0))
+    return make_graph(n, edges, max_n=HARD_MAX_VERTICES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_formats_round_trip(G):
+    assert parse_graph6(write_graph6(G)) == G
+    assert parse_dimacs(write_dimacs(G)) == G
+    assert parse_json_graph(write_json_graph(G)) == G
+
+
+def json_texts():
+    # Well-formed JSON shaped like, or almost like, the graph schema,
+    # plus arbitrary text.
+    scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    value = st.recursive(
+        scalar, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(max_size=4), inner, max_size=4), max_leaves=12)
+    schema = st.fixed_dictionaries({"n": st.integers(-2, 140) | value,
+                                    "edges": st.lists(st.lists(st.integers(-2, 140)))
+                                    | value})
+    return st.text() | (value | schema).map(json.dumps)
+
+
+def dimacs_texts():
+    line = st.lists(st.sampled_from(["p", "e", "c", "edge", "0", "1", "2", "-1", "200",
+                                     "x"]), max_size=5).map(" ".join)
+    return st.text() | st.lists(line, max_size=8).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text() | st.text(alphabet="?@_~DHchw>graph6<\r\n", max_size=30), dimacs_texts(),
+       json_texts())
+def test_parsers_raise_only_parse_error(g6, dimacs, js):
+    for parse, text in ((parse_graph6, g6), (parse_dimacs, dimacs), (parse_json_graph, js)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_dot_output():

@@ -174,3 +174,17 @@ def test_truncation_on_tiny_budgets():
     stream = generate_corpus(spec, budget=SearchBudget(1))
     out = list(stream)
     assert stream.truncated and len(out) < 5
+
+
+def test_truncated_stream_stays_stopped_and_overdraws_one_step():
+    # The stream stops where the budget runs out and stays stopped. The
+    # last probe overdraws by the one step that raised, and no more.
+    budget = SearchBudget(5)
+    stream = generate_corpus(CorpusSpec("exhaustive", 5, 6), budget)
+    out = list(stream)
+    assert stream.truncated and stream.produced == len(out) == 23
+    assert budget.remaining == -1
+    with pytest.raises(StopIteration):
+        next(stream)
+    with pytest.raises(StopIteration):
+        next(stream)

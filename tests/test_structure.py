@@ -223,10 +223,9 @@ def test_petersen_pairs_all_linked():
 def test_find_jumps_short():
     G = c5_with_path([5, 6])
     C = Hole((0, 1, 2, 3, 4))
-    scan = find_jumps(G, C)
-    assert scan.complete
-    assert len(scan.jumps) == 1
-    j = scan.jumps[0]
+    jumps = find_jumps(G, C)
+    assert len(jumps) == 1
+    j = jumps[0]
     assert j.kind == "short"
     assert j.across == 0
     assert j.path.vertices == (1, 5, 6, 4)
@@ -236,19 +235,16 @@ def test_find_jumps_short():
 
 def test_find_jumps_local():
     G = c5_with_path([5, 6, 7, 8])
-    scan = find_jumps(G, Hole((0, 1, 2, 3, 4)))
-    assert scan.complete
-    assert [j.kind for j in scan.jumps] == ["local"]
-    assert scan.jumps[0].path.length == 5
-    assert scan.jumps[0].across == 0
+    jumps = find_jumps(G, Hole((0, 1, 2, 3, 4)))
+    assert [j.kind for j in jumps] == ["local"]
+    assert jumps[0].path.length == 5
+    assert jumps[0].across == 0
 
 
 def test_find_jumps_general_and_filters():
     S = star_gadget()
     C = Hole((0, 1, 3, 4, 9))
-    scan = find_jumps(S, C)
-    assert scan.complete
-    assert [(j.kind, j.path.vertices, j.across) for j in scan.jumps] == [
+    assert [(j.kind, j.path.vertices, j.across) for j in find_jumps(S, C)] == [
         ("short", (0, 2, 5, 4), 9),
         ("general", (1, 6, 7, 8, 2, 5, 4), 3),
     ]
@@ -266,10 +262,9 @@ def test_find_jumps_rejects_bad_input():
     edges = [(i, (i + 1) % 5) for i in range(5)] + [(1, 5), (5, 6), (6, 4), (5, 0)]
     with pytest.raises(InvariantViolation):
         find_jumps(make_graph(7, edges), Hole((0, 1, 2, 3, 4)))
-    truncated = find_jumps(
-        star_gadget(), Hole((0, 1, 3, 4, 9)), budget=SearchBudget(4)
-    )
-    assert not truncated.complete
+    # Running out of budget raises, as in every other search.
+    with pytest.raises(SearchBudgetExceeded):
+        find_jumps(star_gadget(), Hole((0, 1, 3, 4, 9)), budget=SearchBudget(4))
 
 
 def test_contains_induced_matches_oracle():
