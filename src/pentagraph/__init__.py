@@ -67,6 +67,7 @@ from .graph import (
     bfs,
     bfs_layers,
     bit_list,
+    blocks,
     canonical_cycle,
     components,
     components_within,
@@ -112,7 +113,6 @@ from .structure import (
     is_isomorphic,
     is_linked,
     is_odd_linked,
-    shortest_odd_cycle,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bfs, bit_list, canonical_cycle, iter_bits, path_to
+from .graph import Graph, bfs, bit_list, blocks, canonical_cycle, iter_bits
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -203,54 +203,15 @@ def enumerate_induced_paths(
     return results
 
 
-def shortest_odd_cycle(G: Graph) -> Hole | None:
-    """A shortest odd cycle, or None if the graph is bipartite.
-
-    A shortest odd closed walk is automatically a chordless simple cycle,
-    so the result is a valid Hole. Found by BFS from every root: an edge
-    joining two vertices equidistant from the root closes an odd walk of
-    length 2d+1, and the minimum over all roots is exact. Only supported
-    when the result has length at least five (i.e. triangle-free input);
-    a triangle raises InvariantViolation.
-    """
-    n = G.n
-    best = None
-    per_root = []
-    for r in range(n):
-        dist, parent, _ = bfs(G, 1 << r)
-        per_root.append((dist, parent))
-        for u, w in G.edges():
-            if dist[u] >= 0 and dist[u] == dist[w]:
-                val = 2 * dist[u] + 1
-                if best is None or val < best:
-                    best = val
-    if best is None:
-        return None
-    if best == 3:
-        raise InvariantViolation("shortest odd cycle is a triangle; expected girth >= 5")
-    best_cycle = None
-    for r in range(n):
-        dist, parent = per_root[r]
-        for u, w in G.edges():
-            if dist[u] >= 0 and dist[u] == dist[w] and 2 * dist[u] + 1 == best:
-                walk = path_to(parent, u) + list(reversed(path_to(parent, w)))[:-1]
-                if len(set(walk)) != len(walk):
-                    continue  # a non-simple candidate cannot be minimal from this root
-                cand = canonical_cycle(tuple(walk))
-                if best_cycle is None or cand < best_cycle:
-                    best_cycle = cand
-    hole = Hole(best_cycle)
-    hole.validate(G)
-    return hole
-
-
 def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | None:
     """An induced odd cycle of length >= 7, or None when none exists.
 
     Walks the holes through their minimum vertex and stops at the first
-    whose path between the two neighbors is odd with length >= 5. Exact;
-    raises SearchBudgetExceeded instead of answering when the budget runs
-    out.
+    whose path between the two neighbors is odd with length >= 5. The
+    search runs inside one block at a time and skips blocks of fewer than
+    seven vertices; no hole lies outside those, so the answer is the one a
+    search of the whole graph finds first. Exact; raises
+    SearchBudgetExceeded instead of answering when the budget runs out.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -260,34 +221,50 @@ def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | N
 
 def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
     """Every induced 5-cycle, one representative per vertex set, in a
-    deterministic order (by minimum vertex, then neighbor pair, then DFS)."""
+    deterministic order (by minimum vertex, then neighbor pair, then DFS).
+
+    The search runs inside blocks of at least five vertices, where every
+    5-hole lies, so the list and its order are those of a whole-graph
+    search.
+    """
     if budget is None:
         budget = SearchBudget.fresh()
     return list(_holes_by_min_vertex(G, budget, min_len=3, max_len=3))
 
 
-def _holes_by_min_vertex(G: Graph, budget: SearchBudget, **path_options):
+def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path_options):
     """Yield validated holes through their minimum vertex a.
 
     Every hole is a plus an induced path between two non-adjacent
     neighbors of a, all of whose vertices exceed a and avoid N(a). The
-    paths come from enumerate_induced_paths with ``path_options``, pair by
-    pair in ascending order of a, then of the neighbor pair.
+    paths come from enumerate_induced_paths with ``min_len`` and
+    ``path_options``, pair by pair in ascending order of a, then of the
+    neighbor pair.
+
+    A hole lies in one block: the block B of the edge a-b1. So b2 must lie
+    in B, and the path search is confined to B. That drops only DFS
+    subtrees that cannot reach b2, and keeps every path and its order. A
+    hole of at least ``min_len + 2`` vertices needs a block that big, so
+    smaller blocks are never searched.
     """
     adj = G.adj
     full = G.full_mask()
+    least = min_len + 2
+    big = [B for B in blocks(G) if B.bit_count() >= least]
     for a in range(G.n):
+        at_a = [B for B in big if B >> a & 1]
+        if not at_a:
+            continue
         above = full & ~((1 << (a + 1)) - 1)
         nbrs = bit_list(adj[a] & above)
-        if len(nbrs) < 2:
-            continue
         allowed = above & ~adj[a] & ~(1 << a)
         for i, b1 in enumerate(nbrs):
+            B = next((B for B in at_a if B >> b1 & 1), 0)
             for b2 in nbrs[i + 1 :]:
-                if G.has_edge(b1, b2):
+                if not B >> b2 & 1 or G.has_edge(b1, b2):
                     continue
                 for p in enumerate_induced_paths(
-                    G, b1, b2, allowed, budget=budget, **path_options
+                    G, b1, b2, allowed & B, budget=budget, min_len=min_len, **path_options
                 ):
                     hole = Hole((a,) + p.vertices)
                     hole.validate(G)
@@ -359,7 +336,10 @@ class Jump:
 def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tuple[Jump, ...]:
     """Enumerate and classify the jumps over the 5-hole C.
 
-    Like every search here, running out of budget raises
+    A jump and the hole path across it close a cycle, which lies in C's
+    block, so the search runs inside that block only. It drops DFS
+    subtrees that cannot reach the far end, and keeps every jump and the
+    order. Like every search here, running out of budget raises
     SearchBudgetExceeded; a partial list is never returned.
     """
     if C.length != 5:
@@ -369,7 +349,8 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tupl
         budget = SearchBudget.fresh()
     cmask = C.mask()
     cyc = C.vertices
-    allowed = G.full_mask() & ~cmask
+    block = next(B for B in blocks(G) if cmask & ~B == 0)
+    allowed = block & ~cmask
     pairs = []
     for i in range(5):
         s, t = cyc[i], cyc[(i + 2) % 5]

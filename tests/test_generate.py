@@ -163,11 +163,11 @@ def test_random_corpus_edge_probability_plumbs_through():
 
 
 def test_truncation_on_tiny_budgets():
-    # A one-step budget lets the cheapest (bipartite) graphs through and
-    # dies on the first one that needs real search.
-    spec = CorpusSpec(mode="exhaustive", n_min=6, n_max=6)
+    # A one-step budget lets through the graphs with no block of seven
+    # vertices, which need no search, and dies on the first one that does.
+    spec = CorpusSpec(mode="exhaustive", n_min=7, n_max=7)
     stream = generate_corpus(spec, budget=SearchBudget(1))
-    assert len(list(stream)) < GIRTH5_COUNTS[6]
+    assert len(list(stream)) < GIRTH5_COUNTS[7]
     assert stream.truncated
 
     spec = CorpusSpec(mode="random", n_min=12, n_max=12, seed=9, target_count=5)
@@ -180,9 +180,9 @@ def test_truncated_stream_stays_stopped_and_overdraws_one_step():
     # The stream stops where the budget runs out and stays stopped. The
     # last probe overdraws by the one step that raised, and no more.
     budget = SearchBudget(5)
-    stream = generate_corpus(CorpusSpec("exhaustive", 5, 6), budget)
+    stream = generate_corpus(CorpusSpec("exhaustive", 7, 7), budget)
     out = list(stream)
-    assert stream.truncated and stream.produced == len(out) == 23
+    assert stream.truncated and stream.produced == len(out) == 10840
     assert budget.remaining == -1
     with pytest.raises(StopIteration):
         next(stream)

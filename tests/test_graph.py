@@ -12,6 +12,7 @@ from pentagraph import (
     bfs,
     bfs_layers,
     bit_list,
+    blocks,
     canonical_cycle,
     components,
     components_within,
@@ -165,6 +166,46 @@ def test_bfs_matches_networkx_and_builds_a_tree(case):
         assert position[p] < position[v]
         path = path_to(parent, v)
         assert len(path) == dist[v] + 1 and sources >> path[0] & 1
+
+
+@st.composite
+def block_inputs(draw):
+    # Sparse random graphs, often disconnected, plus up to four isolated
+    # vertices, under shuffled labels.
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    extra = draw(st.integers(0, 4))
+    labels = draw(st.permutations(range(n + extra)))
+    return make_graph(n + extra, [(labels[u], labels[v]) for u, v in edges])
+
+
+def assert_blocks_match_networkx(G):
+    got = blocks(G)
+    want = [mask_of(c) for c in nx.biconnected_components(to_nx(G))]
+    assert sorted(got) == sorted(want)
+    for u, v in G.edges():
+        assert sum(1 for B in got if B >> u & 1 and B >> v & 1) == 1
+
+
+@settings(deadline=None)
+@given(block_inputs())
+def test_blocks_match_networkx(G):
+    assert_blocks_match_networkx(G)
+
+
+def test_blocks_at_the_vertex_cap():
+    # A 128-vertex path is 127 bridges, found without recursion; a cycle
+    # and two cycles sharing a vertex are one and two blocks.
+    path = make_graph(128, [(v, v + 1) for v in range(127)], max_n=128)
+    assert sorted(blocks(path)) == sorted(3 << v for v in range(127))
+    assert_blocks_match_networkx(path)
+    ring = make_graph(128, [(v, (v + 1) % 128) for v in range(128)], max_n=128)
+    assert blocks(ring) == [(1 << 128) - 1]
+    bowtie = make_graph(9, [(v, (v + 1) % 5) for v in range(5)]
+                        + [(4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+    assert sorted(blocks(bowtie)) == [0b11111, 0b111110000]
+    assert blocks(make_graph(3, [])) == []
 
 
 def test_distance_validates_endpoints():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     Graph,
@@ -9,10 +10,14 @@ from pentagraph import (
     PENTAGRAPH,
     SearchBudget,
     SearchBudgetExceeded,
+    chromatic_number_bruteforce,
     is_pentagraph,
     make_graph,
     naive_recognize,
+    random_pentagraph,
     recognize,
+    three_color,
+    verify_coloring,
 )
 from pentagraph.fixtures import cycle, fixture, FIXTURE_NAMES
 
@@ -122,6 +127,35 @@ def test_recognize_on_random_members(random_pentagraphs_20):
         rep = recognize(G)
         assert rep.verdict == PENTAGRAPH
         assert rep.girth >= 5
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """A graph (a grown member or an arbitrary one) and a random relabeling."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        G = random_pentagraph(n, draw(st.randoms(use_true_random=False)))
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = make_graph(n, draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else [])
+    perm = draw(st.permutations(range(n)))
+    return G, make_graph(n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+@settings(deadline=None, max_examples=80)
+@given(relabeled_pairs())
+def test_verdict_girth_and_3_colorability_ignore_labels(case):
+    # The hole search leans on the minimum-vertex order and on the block
+    # that holds each edge; the answers must not.
+    G, H = case
+    rg, rh = recognize(G), recognize(H)
+    assert (rg.verdict, rg.girth, rg.bipartite) == (rh.verdict, rh.girth, rh.bipartite)
+    if rg.verdict == NOT_PENTAGRAPH:
+        check_witness(G, rg)
+        check_witness(H, rh)
+    assert (chromatic_number_bruteforce(G, 3) is None) == (chromatic_number_bruteforce(H, 3) is None)
+    if rh.verdict == PENTAGRAPH:
+        assert verify_coloring(H, three_color(H))
 
 
 def test_fixture_names_frozen():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
@@ -18,13 +19,13 @@ from pentagraph import (
     is_odd_linked,
     make_graph,
     mask_of,
-    shortest_odd_cycle,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.generate import enumerate_girth5
 from pentagraph.structure import DEFAULT_MAX_STEPS, default_max_steps
 
 from conftest import make_rng, star_gadget
+from test_decomposition import glue_petersens_at_vertex
 from test_graph import rand_graph
 from oracles import (
     o_embeddings,
@@ -128,36 +129,6 @@ def test_enumerate_induced_paths_contracts():
         enumerate_induced_paths(petersen(), 0, 2, (1 << 10) - 1, budget=SearchBudget(3))
 
 
-def test_shortest_odd_cycle():
-    assert shortest_odd_cycle(make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) is None
-    assert shortest_odd_cycle(make_graph(0, [])) is None
-    got = shortest_odd_cycle(cycle(5))
-    assert got.vertices == (0, 1, 2, 3, 4)
-    with pytest.raises(InvariantViolation):
-        shortest_odd_cycle(make_graph(3, [(0, 1), (1, 2), (0, 2)]))
-
-    # Disjoint pentagon and heptagon: the pentagon wins.
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
-    G = make_graph(12, edges)
-    assert shortest_odd_cycle(G).vertices == (0, 1, 2, 3, 4)
-
-    rng = make_rng("odd-cycle")
-    for _ in range(150):
-        G = rand_graph(rng, rng.randrange(1, 10), 0.25)
-        lens = sorted(size for size, _ in o_induced_cycle_masks(G) if size % 2 == 1)
-        if not lens:
-            assert shortest_odd_cycle(G) is None
-        elif lens[0] == 3:
-            with pytest.raises(InvariantViolation):
-                shortest_odd_cycle(G)
-        else:
-            hole = shortest_odd_cycle(G)
-            hole.validate(G)
-            assert hole.length == lens[0]
-            assert hole.vertices == shortest_odd_cycle(G).vertices
-
-
 def test_find_long_odd_hole():
     assert find_long_odd_hole(cycle(5)) is None
     assert find_long_odd_hole(petersen()) is None
@@ -185,6 +156,86 @@ def test_five_holes():
         G = rand_graph(rng, rng.randrange(1, 10), 0.3)
         want = {m for size, m in o_induced_cycle_masks(G) if size == 5}
         assert {h.mask() for h in five_holes(G)} == want
+
+
+@st.composite
+def glued_graphs(draw):
+    """Two or three small girth >= 5 pieces, each glued to the graph so far
+    at a shared vertex or by a new bridge, under shuffled labels; at most
+    15 vertices, for the oracle's sake. A piece may start from a cycle on
+    its first r >= 5 vertices, so that holes and jumps are common."""
+    edges = []
+    n = 0
+    for _ in range(draw(st.integers(2, 3))):
+        k = draw(st.integers(1, min(8, 15 - n)))
+        r = draw(st.sampled_from([0] + list(range(5, k + 1))))
+        piece = [(v, (v + 1) % r) for v in range(r)]
+        adj = [0] * k
+        for u, v in piece:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        for u, v in draw(st.permutations([(u, v) for u in range(k) for v in range(u + 1, k)])):
+            # Keep u-v only when it closes no cycle shorter than five.
+            if draw(st.booleans()) and not adj[u] >> v & 1:
+                near = _spread(adj, _spread(adj, adj[u] | 1 << u))
+                if not near >> v & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                    piece.append((u, v))
+        if n and draw(st.booleans()):
+            at = draw(st.integers(0, n - 1))  # piece vertex 0 is the cut vertex
+            relabel = [at] + list(range(n, n + k - 1))
+            n += k - 1
+        else:
+            relabel = list(range(n, n + k))
+            if n:
+                edges.append((draw(st.integers(0, n - 1)), n))  # a bridge
+            n += k
+        edges += [(relabel[u], relabel[v]) for u, v in piece]
+    labels = draw(st.permutations(range(n)))
+    return make_graph(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def _spread(adj, mask):
+    out = mask
+    for v in range(len(adj)):
+        if mask >> v & 1:
+            out |= adj[v]
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(glued_graphs())
+def test_block_searches_match_oracle_on_glued_graphs(G):
+    cycles = o_induced_cycle_masks(G)
+    holes = five_holes(G)
+    assert sorted(h.mask() for h in holes) == sorted(m for size, m in cycles if size == 5)
+    long_odd = {m for size, m in cycles if size % 2 and size >= 7}
+    hole = find_long_odd_hole(G)
+    assert (hole is None) == (not long_odd)
+    assert hole is None or hole.mask() in long_odd
+    for C in holes:
+        cyc = C.vertices
+        ends = (sorted((cyc[i], cyc[(i + 2) % 5])) for i in range(5))
+        want = [p for s, t in ends for p in o_induced_paths(G, s, t, G.full_mask() & ~C.mask())
+                if len(p) >= 4]
+        try:
+            jumps = find_jumps(G, C)
+        except InvariantViolation:
+            assert long_odd  # only a long odd hole makes a jump invalid here
+            continue
+        got = [j.path.vertices for j in jumps]
+        assert sorted(got) == sorted(want)
+
+
+def test_glued_blocks_cost_no_more_than_each_block():
+    # Every hole lies in one block, so two Petersen graphs sharing a vertex
+    # cost twice one Petersen graph, not the walk across the cut vertex.
+    lone = SearchBudget(10**6)
+    assert find_long_odd_hole(petersen(), lone) is None
+    glued = SearchBudget(10**6)
+    assert find_long_odd_hole(glue_petersens_at_vertex(), glued) is None
+    assert 10**6 - glued.remaining <= 2 * (10**6 - lone.remaining)
 
 
 def test_linkedness_matches_oracle():
