@@ -17,11 +17,9 @@ from .coloring import (
     verify_coloring,
 )
 from .decomposition import (
-    AttachmentReport,
     DecompositionOutcome,
     P3Cutset,
     ParityStarCutset,
-    analyze_attachment,
     bruteforce_star_search,
     decompose,
     find_clique_cutset,

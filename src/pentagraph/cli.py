@@ -211,7 +211,8 @@ def _emit(args, text: str) -> None:
 
 
 def _report(args, command: str, descriptor: str, outcome: dict, *, exhausted: bool,
-            started: float) -> None:
+            started: float) -> str:
+    """The JSON report around ``outcome``: sorted keys, two-space indent."""
     report = {
         "command": command,
         "input": descriptor,
@@ -219,7 +220,7 @@ def _report(args, command: str, descriptor: str, outcome: dict, *, exhausted: bo
         "budget": {"max_steps": _budget_cap(args), "exhausted": exhausted},
         "timing": {"elapsed_s": round(time.perf_counter() - started, 6)},
     }
-    _emit(args, json.dumps(report, sort_keys=True, indent=2))
+    return json.dumps(report, sort_keys=True, indent=2)
 
 
 def _ser_recognition(rep: RecognitionReport) -> dict:
@@ -277,10 +278,10 @@ def cmd_recognize(args) -> int:
     started = time.perf_counter()
     G, descriptor = _read_graph(args)
     rep = recognize(G, _budget(args))
-    _report(
+    _emit(args, _report(
         args, "recognize", descriptor, _ser_recognition(rep),
         exhausted=rep.verdict == INDETERMINATE, started=started,
-    )
+    ))
     return _verdict_exit(rep.verdict)
 
 
@@ -294,20 +295,20 @@ def _search_member(args, command: str, descriptor: str, G: Graph, started: float
     """
     rep = recognize(G, _budget(args))
     if rep.verdict != PENTAGRAPH:
-        _report(
+        _emit(args, _report(
             args, command, descriptor,
             {"refused": True, "recognition": _ser_recognition(rep)},
             exhausted=rep.verdict == INDETERMINATE, started=started,
-        )
+        ))
         return _verdict_exit(rep.verdict), None
     try:
         return None, search(G, _budget(args))
     except SearchBudgetExceeded:
-        _report(
+        _emit(args, _report(
             args, command, descriptor,
             {"refused": True, "reason": f"budget exhausted before a {what}"},
             exhausted=True, started=started,
-        )
+        ))
         return 2, None
 
 
@@ -325,11 +326,11 @@ def cmd_color(args) -> int:
     if args.emit == "dot":
         _emit(args, write_dot(G, col.colors))
         return 0
-    _report(
+    _emit(args, _report(
         args, f"color{args.k}", descriptor,
         {"coloring": _ser_coloring(col), "verified": True},
         exhausted=False, started=started,
-    )
+    ))
     return 0
 
 
@@ -341,8 +342,8 @@ def cmd_decompose(args) -> int:
     )
     if code is not None:
         return code
-    _report(args, "decompose", descriptor, _ser_outcome(out), exhausted=False,
-            started=started)
+    _emit(args, _report(args, "decompose", descriptor, _ser_outcome(out),
+                        exhausted=False, started=started))
     return 0 if out.variant != "none_found" else 1
 
 
@@ -370,20 +371,17 @@ def cmd_corpus(args) -> int:
             if is_bipartite(G):
                 bipartite_count += 1
     total = stream.produced
-    report = {
-        "command": "corpus",
-        "input": f"mode={args.mode} n={spec.n_min}..{spec.n_max} seed={spec.seed}",
-        "outcome": {
-            "written": args.out,
-            "total": total,
-            "counts_by_n": {str(n): c for n, c in sorted(by_n.items())},
-            "bipartite_fraction": (bipartite_count / total) if total else None,
-            "truncated": stream.truncated,
-        },
-        "budget": {"max_steps": _budget_cap(args), "exhausted": stream.truncated},
-        "timing": {"elapsed_s": round(time.perf_counter() - started, 6)},
+    outcome = {
+        "written": args.out,
+        "total": total,
+        "counts_by_n": {str(n): c for n, c in sorted(by_n.items())},
+        "bipartite_fraction": (bipartite_count / total) if total else None,
+        "truncated": stream.truncated,
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    # Printed, not emitted: --out holds the graph6 lines.
+    print(_report(args, "corpus",
+                  f"mode={args.mode} n={spec.n_min}..{spec.n_max} seed={spec.seed}",
+                  outcome, exhausted=stream.truncated, started=started))
     return 2 if stream.truncated else 0
 
 
@@ -434,8 +432,8 @@ def cmd_verify(args) -> int:
         "indeterminate": indeterminate,
         "first_counterexample": first,
     }
-    _report(args, "verify", args.corpus, outcome,
-            exhausted=indeterminate > 0, started=started)
+    _emit(args, _report(args, "verify", args.corpus, outcome,
+                        exhausted=indeterminate > 0, started=started))
     if failed:
         return 1
     return 2 if indeterminate else 0
@@ -446,14 +444,14 @@ def cmd_oracle(args) -> int:
     G, descriptor = _read_graph(args)
     if args.which == "recognize":
         rep = naive_recognize(G)
-        _report(args, "oracle", descriptor,
-                {"which": "recognize", **_ser_recognition(rep)},
-                exhausted=False, started=started)
+        _emit(args, _report(args, "oracle", descriptor,
+                            {"which": "recognize", **_ser_recognition(rep)},
+                            exhausted=False, started=started))
         return _verdict_exit(rep.verdict)
     chi = chromatic_number_bruteforce(G, args.k_max)
-    _report(args, "oracle", descriptor,
-            {"which": "chromatic", "k_max": args.k_max, "chromatic_number": chi},
-            exhausted=False, started=started)
+    _emit(args, _report(args, "oracle", descriptor,
+                        {"which": "chromatic", "k_max": args.k_max, "chromatic_number": chi},
+                        exhausted=False, started=started))
     return 0
 
 

@@ -24,6 +24,7 @@ from .graph import (
     induced_subgraph,
     is_bipartite,
     iter_bits,
+    mask_of,
     path_to,
 )
 from .structure import SearchBudget
@@ -58,27 +59,23 @@ def verify_coloring(G: Graph, c: Coloring) -> bool:
     return all(c.colors[u] != c.colors[v] for u, v in G.edges())
 
 
+def _class_mask(c: Coloring, colors: tuple[int, ...]) -> int:
+    """The vertices whose color is one of ``colors``, as a mask."""
+    return mask_of(u for u, col in enumerate(c.colors) if col in colors)
+
+
 def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> KempeComponent:
     """The component of the {a,b}-colored subgraph containing v."""
     a, b = pair
     if a == b:
         raise ContractViolation("the color pair must be two distinct colors")
+    if len(c.colors) != G.n:
+        raise ContractViolation("the coloring must cover every vertex exactly once")
+    if not 0 <= v < G.n:
+        raise ContractViolation(f"{v} is not a vertex of the graph")
     if c.colors[v] not in (a, b):
         raise ContractViolation(f"vertex {v} has color {c.colors[v]}, not in {{{a}, {b}}}")
-    in_pair = 0
-    for u in range(G.n):
-        if c.colors[u] in (a, b):
-            in_pair |= 1 << u
-    # Whole frontiers as masks, not bfs(): the component needs only what is
-    # reachable, not distances or parents.
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        grow = 0
-        for u in iter_bits(frontier):
-            grow |= G.adj[u] & in_pair & ~comp
-        comp |= grow
-        frontier = grow
+    comp = next(m for m in components_within(G, _class_mask(c, pair)) if m >> v & 1)
     return KempeComponent((a, b) if a < b else (b, a), comp)
 
 
@@ -184,11 +181,7 @@ def _alternating_path(
 ) -> tuple[int, ...]:
     """Shortest path from s to t inside the {1,3}-colored subgraph,
     reported in the parent graph's vertex ids."""
-    in_pair = 0
-    for u in range(sub.n):
-        if col.colors[u] in (1, 3):
-            in_pair |= 1 << u
-    _, parent, _ = bfs(sub, 1 << s, in_pair)
+    _, parent, _ = bfs(sub, 1 << s, _class_mask(col, (1, 3)))
     return tuple(old_ids[v] for v in path_to(parent, t))
 
 
@@ -204,6 +197,8 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
     invalid cutset or an input outside the class; InvariantViolation
     carries that path.
     """
+    if not 0 <= v < Gi.n:
+        raise ContractViolation(f"{v} is not a vertex of the graph")
     if X & ~Gi.adj[v]:
         raise ContractViolation("the center must be adjacent to every leaf")
     if c.k != 3 or not verify_coloring(Gi, c):
@@ -212,15 +207,15 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
     passes = 0
     limit = X.bit_count()
     while True:
-        three_leaves = [u for u in iter_bits(X) if c.colors[u] == 3]
+        three_leaves = X & _class_mask(c, (3,))
         if not three_leaves:
             break
         if passes > limit:
             raise InvariantViolation("leaf recoloring failed to terminate")
+        two_leaves = X & _class_mask(c, (2,))
         swapped = False
-        for u in three_leaves:
-            comp = kempe_component(Gi, c, (2, 3), u).vertices
-            if not any(c.colors[w] == 2 for w in iter_bits(comp & X)):
+        for u in iter_bits(three_leaves):
+            if not kempe_component(Gi, c, (2, 3), u).vertices & two_leaves:
                 c = kempe_swap(Gi, c, (2, 3), u)
                 swapped = True
                 break
@@ -238,15 +233,7 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
 def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
     """Shortest path in the {2,3}-subgraph from a leaf colored 2 to a leaf
     colored 3; its interior avoids the leaves, and it has odd length."""
-    in_pair = 0
-    for u in range(Gi.n):
-        if c.colors[u] in (2, 3):
-            in_pair |= 1 << u
-    sources = 0
-    for u in iter_bits(X):
-        if c.colors[u] == 2:
-            sources |= 1 << u
-    _, parent, order = bfs(Gi, sources, in_pair)
+    _, parent, order = bfs(Gi, X & _class_mask(c, (2,)), _class_mask(c, (2, 3)))
     for z in order:
         if X >> z & 1 and c.colors[z] == 3:
             return tuple(path_to(parent, z))
@@ -324,9 +311,7 @@ def _extend_low_degree(G: Graph, v: int, budget: SearchBudget, depth: int) -> Co
 
 
 def _merge_clique(G: Graph, clique: tuple[int, ...], budget: SearchBudget, depth: int) -> Coloring:
-    cmask = 0
-    for u in clique:
-        cmask |= 1 << u
+    cmask = mask_of(clique)
     want = {u: i + 1 for i, u in enumerate(clique)}
     out = [0] * G.n
     for u, target in want.items():
@@ -354,9 +339,7 @@ def _merge_star(G: Graph, star, budget: SearchBudget, depth: int) -> Coloring:
     for comp in star.components:
         sub, old_ids = induced_subgraph(G, comp | X | 1 << x)
         pos = {old: new for new, old in enumerate(old_ids)}
-        xmask = 0
-        for u in iter_bits(X):
-            xmask |= 1 << pos[u]
+        xmask = mask_of(pos[u] for u in iter_bits(X))
         col = _color_any(sub, budget, depth - 1)
         col = normalize_on_star(sub, col, pos[x], xmask)
         for new, old in enumerate(old_ids):

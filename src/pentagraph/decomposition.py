@@ -17,27 +17,15 @@ from itertools import combinations
 
 from .errors import ContractViolation, InvariantViolation
 from .fixtures import petersen
-from .graph import (
-    Graph,
-    bfs,
-    bit_list,
-    components_within,
-    induced_subgraph,
-    is_bipartite,
-    iter_bits,
-    mask_of,
-    path_to,
-)
+from .graph import Graph, bit_list, components_within, is_bipartite, iter_bits, mask_of
 from .structure import (
     Embedding,
     Hole,
-    InducedPath,
     SearchBudget,
     contains_induced,
     enumerate_induced_paths,
     find_jumps,
     five_holes,
-    is_linked,
 )
 
 
@@ -337,106 +325,6 @@ def find_strong_parity_star_cutset(
     if cert is not None:
         return cert
     return bruteforce_star_search(G, budget)
-
-
-ATTACH_MANY = "three_or_more_neighbors"
-ATTACH_PAIR = "exactly_two_neighbors"
-ATTACH_PATH = "connecting_path"
-
-
-@dataclass(frozen=True)
-class AttachmentReport:
-    """How the rest of the graph attaches to a connected induced subgraph.
-
-    Exactly one case applies: some outside vertex has three or more
-    neighbors in the subgraph; or some outside vertex has exactly two,
-    necessarily nonadjacent, neighbors s and t; or every outside vertex
-    has at most one neighbor there and a long induced connecting path
-    joins a nonadjacent, non-linked pair s, t through the outside.
-    """
-
-    case: str
-    vertex: int | None = None
-    ends: tuple[int, int] | None = None
-    path: InducedPath | None = None
-    neighbors: int = 0
-
-
-def analyze_attachment(G: Graph, H: int) -> AttachmentReport:
-    """Classify the attachment of G onto the connected induced subgraph on
-    the vertex set H (given as a mask).
-
-    Requires |H| >= 3, H proper, G[H] connected, and no clique cutset in
-    G; otherwise the classification below is not guaranteed to apply and a
-    ContractViolation is raised.
-    """
-    full = G.full_mask()
-    H &= full
-    hverts = bit_list(H)
-    if len(hverts) < 3:
-        raise ContractViolation("the subgraph needs at least three vertices")
-    if H == full:
-        raise ContractViolation("the subgraph must be proper")
-    if len(components_within(G, H)) != 1:
-        raise ContractViolation("the subgraph must be connected")
-    if find_clique_cutset(G) is not None:
-        raise ContractViolation("the graph admits a clique cutset")
-
-    outside = full & ~H
-    for v in iter_bits(outside):
-        attached = G.adj[v] & H
-        if attached.bit_count() >= 3:
-            return AttachmentReport(ATTACH_MANY, vertex=v, neighbors=attached)
-    for v in iter_bits(outside):
-        attached = G.adj[v] & H
-        if attached.bit_count() == 2:
-            s, t = bit_list(attached)
-            if G.has_edge(s, t):
-                raise InvariantViolation("two adjacent attachment points; girth below five")
-            return AttachmentReport(ATTACH_PAIR, vertex=v, ends=(s, t), neighbors=attached)
-
-    D = components_within(G, outside)[0]
-    path = _min_connector(G, hverts, D)
-    if path is None:
-        raise InvariantViolation("no nonadjacent pair attaches to the outside component")
-    s, t = path.ends
-    interior = path.interior_mask()
-    for v in hverts:
-        if v == s or v == t:
-            continue  # the ends touch their own path by definition
-        if G.adj[v] & interior and not (G.has_edge(v, s) and G.has_edge(v, t)):
-            raise InvariantViolation(
-                "a subgraph vertex touches the connector but not both its ends", path
-            )
-    sub, old_ids = induced_subgraph(G, H)
-    pos = {old: new for new, old in enumerate(old_ids)}
-    if is_linked(sub, pos[s], pos[t]):
-        raise InvariantViolation("connector ends are linked inside the subgraph", path)
-    return AttachmentReport(ATTACH_PATH, ends=(s, t), path=path)
-
-
-def _min_connector(G: Graph, hverts: list[int], D: int) -> InducedPath | None:
-    """Shortest path between nonadjacent subgraph vertices with all
-    interior vertices in D; shortest-first makes it induced."""
-    best = None
-    for s in hverts:
-        if not G.adj[s] & D:
-            continue
-        # Distances through D, counted from the neighbors of s in D.
-        dist, parent, _ = bfs(G, G.adj[s] & D, D)
-        for t in hverts:
-            if t == s or G.has_edge(s, t):
-                continue
-            for z in iter_bits(G.adj[t] & D):
-                if dist[z] < 0:
-                    continue
-                if best is None or dist[z] + 1 < best[0]:
-                    walk = [s] + path_to(parent, z) + [t]
-                    best = (dist[z] + 1, InducedPath(tuple(walk)))
-    if best is None:
-        return None
-    best[1].validate(G)
-    return best[1]
 
 
 def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutcome:

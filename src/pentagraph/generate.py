@@ -74,8 +74,9 @@ class CorpusSpec:
 
 def _ball3(adj: list[int], u: int) -> int:
     """Vertices within distance three of u, as a mask."""
-    # Kept apart from graph.bfs: it runs on the enumerator's mutable rows,
-    # once per candidate edge in its innermost loop, and stops at depth 3.
+    # Kept apart from graph.bfs and components_within: it runs on the
+    # enumerator's mutable rows, not a Graph, once per candidate edge in its
+    # innermost loop, and stops at depth 3.
     m = 1 << u | adj[u]
     for _ in range(2):
         grow = 0

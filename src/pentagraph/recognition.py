@@ -122,8 +122,8 @@ def naive_recognize(G: Graph) -> RecognitionReport:
             rest ^= low
         if not ok:
             continue
-        # Its own connectivity sweep, not graph.bfs: the oracle shares no
-        # search code with the recognizer it checks.
+        # Its own connectivity sweep, not graph.components_within: the
+        # oracle shares no search code with the recognizer it checks.
         seen = mask & -mask
         frontier = seen
         while frontier:

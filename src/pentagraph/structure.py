@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bfs, bit_list, blocks, canonical_cycle, iter_bits
+from .graph import Graph, bfs, bit_list, blocks, canonical_cycle, iter_bits, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -59,15 +59,8 @@ class InducedPath:
     def ends(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
     def interior_mask(self) -> int:
-        m = 0
-        for v in self.vertices[1:-1]:
-            m |= 1 << v
-        return m
+        return mask_of(self.vertices[1:-1])
 
     def validate(self, G: Graph) -> None:
         seq = self.vertices
@@ -93,10 +86,7 @@ class Hole:
         return len(self.vertices)
 
     def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
+        return mask_of(self.vertices)
 
     def canonical(self) -> "Hole":
         return Hole(canonical_cycle(self.vertices))

@@ -66,6 +66,21 @@ def test_kempe_component_path():
         kempe_component(G, c, (2, 2), 0)
     with pytest.raises(ContractViolation):
         kempe_component(G, Coloring(3, (1, 2, 3, 2)), (1, 2), 2)
+    # A vertex outside 0..n-1, or a coloring of the wrong length, is a
+    # contract error for the swap too, not an IndexError or a wrong answer.
+    C5 = cycle(5)
+    c5 = three_color(C5)
+    short = Coloring(3, c5.colors[:3])
+    for bad in (
+        lambda: kempe_component(C5, c5, (1, 2), -1),
+        lambda: kempe_component(C5, c5, (1, 2), 7),
+        lambda: kempe_component(C5, short, (1, 2), 0),
+        lambda: kempe_swap(C5, c5, (1, 2), -1),
+        lambda: kempe_swap(C5, c5, (1, 2), 5),
+        lambda: kempe_swap(C5, short, (1, 2), 0),
+    ):
+        with pytest.raises(ContractViolation):
+            bad()
 
 
 def test_kempe_swap_pentagon():
@@ -247,6 +262,14 @@ def test_normalize_on_star_contract_errors():
         normalize_on_star(G, four_color(G), 0, mask_of((1, 2)))
     with pytest.raises(ContractViolation):
         normalize_on_star(G, Coloring(3, (1,) * 10), 0, mask_of((1, 2)))
+    # Out-of-range centers, and a coloring shorter than the graph.
+    C5 = cycle(5)
+    c5 = three_color(C5)
+    for v in (-1, 5, 7):
+        with pytest.raises(ContractViolation):
+            normalize_on_star(C5, c5, v, mask_of([0, 3]))
+    with pytest.raises(ContractViolation):
+        normalize_on_star(C5, Coloring(3, c5.colors[:3]), 4, mask_of([0, 3]))
 
 
 def test_merge_star_colors_the_gadget():

@@ -9,7 +9,6 @@ from pentagraph import (
     PENTAGRAPH,
     SearchBudget,
     SearchBudgetExceeded,
-    analyze_attachment,
     bruteforce_star_search,
     decompose,
     find_clique_cutset,
@@ -26,12 +25,7 @@ from pentagraph import (
     verify_parity_star_cutset,
 )
 from pentagraph import decomposition
-from pentagraph.decomposition import (
-    ATTACH_MANY,
-    ATTACH_PAIR,
-    ATTACH_PATH,
-    DecompositionOutcome,
-)
+from pentagraph.decomposition import DecompositionOutcome
 from pentagraph.fixtures import cycle, fixture, petersen
 
 from conftest import make_rng, p3_gadget, star_gadget
@@ -232,43 +226,6 @@ def test_bruteforce_star_cap():
     assert cert is not None and cert.center == 0 and cert.leaves == 0
     with pytest.raises(SearchBudgetExceeded):
         bruteforce_star_search(star14, SearchBudget(5))
-
-
-def test_analyze_attachment_cases():
-    P = petersen()
-    # A vertex with three neighbors in the subgraph.
-    rep = analyze_attachment(P, P.full_mask() & ~(1 << 9))
-    assert rep.case == ATTACH_MANY
-    assert rep.vertex == 9 and rep.neighbors == mask_of([4, 6, 7])
-
-    # Exactly two (necessarily nonadjacent) neighbors.
-    p1 = fixture("p1")
-    rep = analyze_attachment(p1, mask_of(range(6)))
-    assert rep.case == ATTACH_PAIR
-    assert rep.vertex == 6 and rep.ends == (0, 3)
-
-    # Every outside vertex sees at most one subgraph vertex.
-    rep = analyze_attachment(P, mask_of(range(5)))
-    assert rep.case == ATTACH_PATH
-    assert rep.path.vertices == (0, 5, 7, 2)
-    assert rep.ends == (0, 2)
-    rep.path.validate(P)
-
-
-def test_analyze_attachment_contracts():
-    P = petersen()
-    with pytest.raises(ContractViolation):
-        analyze_attachment(P, mask_of([0, 1]))
-    with pytest.raises(ContractViolation):
-        analyze_attachment(P, P.full_mask())
-    with pytest.raises(ContractViolation):
-        analyze_attachment(P, mask_of([0, 2, 6]))  # disconnected induced set
-    with pytest.raises(ContractViolation):
-        analyze_attachment(p3_gadget(), mask_of([0, 1, 2]))  # clique cutset
-    # Two adjacent attachment points certify girth below five.
-    G = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 1), (5, 2)])
-    with pytest.raises(InvariantViolation):
-        analyze_attachment(G, mask_of([0, 1, 4]))
 
 
 def test_decompose_bipartite():
