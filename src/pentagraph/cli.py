@@ -11,10 +11,10 @@ in the class (or a counterexample), 2 indeterminate under the step budget,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .coloring import (
     Coloring,
@@ -51,7 +51,7 @@ from .recognition import (
     naive_recognize,
     recognize,
 )
-from .structure import SearchBudget, default_max_steps
+from .structure import DEFAULT_MAX_STEPS, SearchBudget, default_max_steps
 
 
 class _UsageError(Exception):
@@ -65,6 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built once per process: main() may run many times in one process, and
+# parsing reads nothing that changes between calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="penta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
             "--max-steps", type=int, default=None,
-            help="search step budget (default: PENTA_MAX_STEPS or "
-            f"{default_max_steps()})",
+            help="search step budget (default: PENTA_MAX_STEPS if set, "
+            f"else {DEFAULT_MAX_STEPS})",
         )
         p.add_argument("--jobs", type=int, default=1, help="worker processes for batch runs")
 
@@ -414,6 +417,9 @@ def cmd_verify(args) -> int:
     cap = _budget_cap(args)
     tasks = [(args.which, ln, cap) for ln in lines]
     if args.jobs > 1 and len(tasks) > 1:
+        # Imported here: loading multiprocessing costs every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_one, tasks, chunksize=16))
     else:

@@ -13,7 +13,10 @@ plus a rejection of any new induced even path of length at least six
 between the ends, which is exactly what would close an induced odd cycle
 of length at least seven. Every cycle a new edge creates passes through
 that edge, so the invariant is maintained incrementally and every emitted
-graph lands in the class by construction.
+graph lands in the class by construction. The legality probes are exact
+and draw on the caller's step budget alone: a stream whose budget runs
+dry stops early and says so (``CorpusStream.truncated``) rather than emit
+a graph with a legal edge left out.
 """
 
 from __future__ import annotations
@@ -27,11 +30,6 @@ from .graph import Graph, HARD_MAX_VERTICES, iter_bits
 from .structure import SearchBudget, enumerate_induced_paths, find_long_odd_hole
 
 EXHAUSTIVE_MAX_N = 10
-
-# Step allowance for a single edge-legality probe in the random grower.
-# Sliced off the caller's budget so one pathological probe cannot starve
-# the rest of the stream.
-_PROBE_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,10 @@ def random_pentagraph(
 
     Candidate pairs are shuffled once, then each is kept when the coin
     allows, the ends are at distance at least four, and no induced even
-    path of length at least six joins the ends. A probe that runs out of
-    steps skips its edge: the result stays in the class, it just may be
-    sparser than the coin intended.
+    path of length at least six joins the ends. Every probe is exact and
+    charges ``budget``; running out raises SearchBudgetExceeded instead of
+    skipping the edge, so with the coin at 1.0 the result is maximal under
+    both rules.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -160,27 +159,16 @@ def random_pentagraph(
             continue
         if not _far_apart(adj, u, v):
             continue
-        G = Graph(n, tuple(adj))
-        probe = SearchBudget(min(_PROBE_STEPS, max(budget.remaining, 1)))
-        before = probe.remaining
-        try:
-            closes_long_hole = bool(
-                enumerate_induced_paths(
-                    G,
-                    u,
-                    v,
-                    full & ~(1 << u) & ~(1 << v),
-                    parity="even",
-                    min_len=6,
-                    limit=1,
-                    budget=probe,
-                )
-            )
-        except SearchBudgetExceeded:
-            budget.spend(before)
-            continue
-        budget.spend(before - probe.remaining)
-        if closes_long_hole:
+        if enumerate_induced_paths(
+            Graph(n, tuple(adj)),
+            u,
+            v,
+            full & ~(1 << u) & ~(1 << v),
+            parity="even",
+            min_len=6,
+            limit=1,
+            budget=budget,
+        ):
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u

@@ -141,11 +141,22 @@ def enumerate_induced_paths(
 
     Paths are found by DFS from s, extending only to vertices with no
     neighbor among the non-adjacent earlier path vertices, so every partial
-    path is itself induced and no dead branch survives. ``parity`` is one
-    of "any", "even", "odd" and, with ``min_len``/``max_len``, constrains
-    the number of edges. Output order is the DFS order, which is fixed by
-    ascending vertex ids; the list is exhaustive unless ``limit`` cut it
-    short (detectable by ``len(result) == limit``).
+    path is itself induced. ``parity`` is one of "any", "even", "odd" and,
+    with ``min_len``/``max_len``, constrains the number of edges. Output
+    order is the DFS order, which is fixed by ascending vertex ids; the
+    list is exhaustive unless ``limit`` cut it short (detectable by
+    ``len(result) == limit``).
+
+    One branch is cut: once the path's last vertex is adjacent to t, the
+    path either ends at t there or not at all, because every longer path
+    through that vertex would have a chord to t. The DFS records the path
+    to t and returns, so a pendant tree hanging off a neighbor of t costs
+    one step, not a walk of the tree. Other dead branches, such as those
+    that cannot reach t inside ``interior_allowed``, are still walked: the
+    search is exact but exponential in the worst case. Chudnovsky, Scott
+    and Seymour show that a long odd hole can be found in polynomial time
+    ("Detecting a long odd hole", Combinatorica 2021); this DFS does not
+    attempt that.
 
     Each DFS node costs one budget step; exhausting the budget raises
     SearchBudgetExceeded, it never silently returns a partial answer.
@@ -178,12 +189,18 @@ def enumerate_induced_paths(
                 results.append(InducedPath(tuple(path) + (t,)))
                 if limit is not None and len(results) >= limit:
                     raise _LimitReached
+            # t joins the excluded set of every extension: no path below.
+            return
         if max_len is not None and len(path) >= max_len:
             return
         blocked = excl | adj[last]
-        for z in iter_bits(cand & allowed):
+        rest = cand & allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            z = low.bit_length() - 1
             path.append(z)
-            extend(z, blocked | (1 << z))
+            extend(z, blocked | low)
             path.pop()
 
     try:

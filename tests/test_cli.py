@@ -111,7 +111,7 @@ def test_color_commands(capsys, monkeypatch):
     assert code == 1 and rep["outcome"]["refused"] is True
     assert rep["outcome"]["recognition"]["verdict"] == "not_pentagraph"
 
-    # Budget too small to even recognize (that takes 122 steps):
+    # Budget too small to even recognize (that takes 104 steps):
     # indeterminate, not a wrong answer.
     g6 = write_graph6(glue_petersens_at_vertex()) + "\n"
     code, out, _ = run(["color3", "-", "--max-steps", "100"], capsys, monkeypatch,

@@ -20,7 +20,6 @@ from pentagraph import (
     mask_of,
     naive_recognize,
     parse_graph6,
-    recognize,
     revalidate_outcome,
     verify_parity_star_cutset,
 )

@@ -74,9 +74,11 @@ def test_random_grower_edge_probability_zero():
 def test_random_grower_is_maximal():
     # With the coin at 1.0 every skipped pair must be blocked by one of
     # the two legality rules: ends within distance three, or an induced
-    # even path of length at least six between them.
-    for seed in range(8):
-        G = random_pentagraph(10, make_rng(f"maximal-{seed}"))
+    # even path of length at least six between them. The 40-vertex graph
+    # is one where a step cap on each probe once dropped 19 legal edges.
+    cases = [(10, f"maximal-{seed}") for seed in range(8)] + [(40, "maximal-large")]
+    for n, tag in cases:
+        G = random_pentagraph(n, make_rng(tag))
         rest = G.full_mask()
         for u in range(G.n):
             for v in range(u + 1, G.n):
@@ -89,7 +91,7 @@ def test_random_grower_is_maximal():
                     G, u, v, rest & ~(1 << u) & ~(1 << v),
                     parity="even", min_len=6, limit=1,
                 )
-                assert long_even, f"seed {seed}: edge {u}-{v} was legal but skipped"
+                assert long_even, f"{tag}: edge {u}-{v} was legal but skipped"
 
 
 def test_corpus_spec_validation():

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module or a test file imports is used in that file.
 
 The package ``__init__`` is exempt: its imports are the public API.
 """
@@ -9,6 +9,7 @@ from pathlib import Path
 import pentagraph
 
 PACKAGE = Path(pentagraph.__file__).parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,10 +35,11 @@ def test_the_check_sees_an_unused_name():
 
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and TESTS / "test_imports.py" in tests
     unused = {
         p.name: found
-        for p in modules
+        for p in modules + tests
         if (found := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}

@@ -18,7 +18,6 @@ from pentagraph import (
     is_linked,
     is_odd_linked,
     make_graph,
-    mask_of,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.generate import enumerate_girth5
@@ -127,6 +126,56 @@ def test_enumerate_induced_paths_contracts():
         enumerate_induced_paths(G, 0, 2, G.full_mask(), parity="weird")
     with pytest.raises(SearchBudgetExceeded):
         enumerate_induced_paths(petersen(), 0, 2, (1 << 10) - 1, budget=SearchBudget(3))
+
+
+@st.composite
+def path_queries(draw):
+    """A graph on at most nine vertices, two distinct ends, an interior
+    mask and one combination of the path filters."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    s, t = draw(st.permutations(range(n)))[:2]
+    allowed = draw(st.integers(0, (1 << n) - 1))
+    options = dict(
+        parity=draw(st.sampled_from(["any", "even", "odd"])),
+        min_len=draw(st.integers(1, 6)),
+        max_len=draw(st.one_of(st.none(), st.integers(1, 8))),
+    )
+    return make_graph(n, edges), s, t, allowed, options, draw(st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(path_queries())
+def test_enumerate_induced_paths_is_the_filtered_oracle_in_dfs_order(query):
+    # The oracle walks every simple path with no cut, in ascending vertex
+    # order; the pruned DFS must list the same paths in the same order,
+    # and a limit must keep a prefix of that list.
+    G, s, t, allowed, options, k = query
+    parity_ok = {"any": (0, 1), "even": (0,), "odd": (1,)}[options["parity"]]
+    want = [
+        p for p in o_induced_paths(G, s, t, allowed)
+        if len(p) - 1 >= options["min_len"]
+        and (options["max_len"] is None or len(p) - 1 <= options["max_len"])
+        and (len(p) - 1) % 2 in parity_ok
+    ]
+    got = enumerate_induced_paths(G, s, t, allowed, **options)
+    assert [p.vertices for p in got] == want
+    first = enumerate_induced_paths(G, s, t, allowed, limit=k, **options)
+    assert [p.vertices for p in first] == want[:k]
+
+
+def test_enumerate_induced_paths_skips_what_hangs_off_a_neighbor_of_t():
+    # s=0 and t=2 share the neighbor 1, and a long path hangs off 1. Every
+    # path through 1 that goes on past it has the chord 1-2, so the DFS
+    # stops at 1 and costs the same two steps however long the tail is.
+    for tail in (3, 60):
+        chain = [1] + list(range(3, 3 + tail))
+        G = make_graph(3 + tail, [(0, 1), (1, 2)] + list(zip(chain, chain[1:])))
+        budget = SearchBudget(10)
+        paths = enumerate_induced_paths(G, 0, 2, G.full_mask(), budget=budget)
+        assert [p.vertices for p in paths] == [(0, 1, 2)]
+        assert budget.remaining == 8
 
 
 def test_find_long_odd_hole():
