@@ -143,13 +143,7 @@ def main(argv=None) -> int:
         return 3
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ParseError, GraphConstructionError, ContractViolation) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (_UsageError, ParseError, GraphConstructionError, ContractViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except PentagraphError as e:

@@ -1,8 +1,12 @@
 """Certified colorings: the layered 4-coloring, the recursive 3-coloring
 with Kempe-exchange recombination, and a brute-force oracle.
 
-Both top-level colorers verify properness before returning. Recombination
-steps that would only fail on inputs outside the class raise
+The 3-coloring recursion merges the sides of a cut one way: each side is
+colored together with the cut, fitted to the cut and copied back, and the
+merged coloring is verified. A disconnected graph is the empty cut with
+its components as sides; clique and star cutsets differ only in how a side
+is fitted. Both top-level colorers verify properness before returning.
+Recombination steps that would only fail on inputs outside the class raise
 InvariantViolation carrying the offending structure instead of returning a
 bad coloring.
 """
@@ -36,9 +40,6 @@ class Coloring:
 
     k: int
     colors: tuple[int, ...]
-
-    def used(self) -> set[int]:
-        return set(self.colors)
 
 
 @dataclass(frozen=True)
@@ -243,11 +244,14 @@ def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     """Proper 3-coloring by recursive decomposition.
 
-    Components are handled independently. Each connected piece is split by
-    decompose(): bipartite and the ten-vertex base case are colored
-    directly, a low-degree vertex is deleted and re-inserted, and the
-    three cutset variants recurse on their sides and recombine (palette
-    permutation, combine_p3, normalize_on_star). Raises
+    A connected graph is split by decompose(): bipartite and the ten-vertex
+    base case are colored directly, a low-degree vertex is deleted and
+    re-inserted, and a cut path recurses on its sides and recombines with
+    combine_p3. Every other split is one merge: each side is colored
+    together with the cut one level down, fitted to the cut, and copied
+    back. A disconnected graph is split at the empty cut, its components
+    being the sides, which need no fitting; a clique cutset fits its sides
+    by palette permutation, a star cutset by normalize_on_star. Raises
     NoDecompositionFound when decompose finds nothing, which only happens
     off-class.
     """
@@ -259,22 +263,14 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     return result
 
 
-def _color_any(G: Graph, budget: SearchBudget, depth: int) -> Coloring:
+def _color_any(G: Graph, budget: SearchBudget, depth: int, split: bool = True) -> Coloring:
+    """Color G; ``split`` False says G is known to be connected."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
-    comps = components(G)
-    if len(comps) <= 1:
-        return _color_connected(G, budget, depth)
-    out = [0] * G.n
-    for comp in comps:
-        sub, old_ids = induced_subgraph(G, comp)
-        col = _color_connected(sub, budget, depth)
-        for new, old in enumerate(old_ids):
-            out[old] = col.colors[new]
-    return Coloring(3, tuple(out))
-
-
-def _color_connected(G: Graph, budget: SearchBudget, depth: int) -> Coloring:
+    if split:
+        comps = components(G)
+        if len(comps) > 1:
+            return _merge_sides(G, 0, comps, budget, depth, lambda sub, col, old_ids: col)
     outcome = decompose(G, budget)
     if outcome.variant == "bipartite":
         return Coloring(3, outcome.two_coloring)
@@ -286,16 +282,26 @@ def _color_connected(G: Graph, budget: SearchBudget, depth: int) -> Coloring:
             out[host] = PETERSEN_COLORING[p]
         return Coloring(3, tuple(out))
     if outcome.variant == "clique_cut":
-        return _merge_clique(G, outcome.clique, budget, depth)
+        clique = outcome.clique
+
+        def to_clique(sub: Graph, col: Coloring, old_ids: tuple[int, ...]) -> Coloring:
+            return _permute_palette(col, {old_ids.index(u): i + 1 for i, u in enumerate(clique)})
+
+        cmask = mask_of(clique)
+        sides = components_within(G, G.full_mask() & ~cmask)
+        return _merge_sides(G, cmask, sides, budget, depth, to_clique)
     if outcome.variant == "p3":
         cut = outcome.p3
-        side_colorings = []
-        for mask in cut.sides:
-            sub, _ = induced_subgraph(G, mask | cut.path_mask())
-            side_colorings.append(_color_any(sub, budget, depth - 1))
-        return combine_p3(G, cut, side_colorings)
+        subs = (induced_subgraph(G, mask | cut.path_mask())[0] for mask in cut.sides)
+        return combine_p3(G, cut, [_color_any(sub, budget, depth - 1) for sub in subs])
     if outcome.variant == "star":
-        return _merge_star(G, outcome.star, budget, depth)
+        star = outcome.star
+
+        def to_star(sub: Graph, col: Coloring, old_ids: tuple[int, ...]) -> Coloring:
+            leaves = mask_of(old_ids.index(u) for u in iter_bits(star.leaves))
+            return normalize_on_star(sub, col, old_ids.index(star.center), leaves)
+
+        return _merge_sides(G, star.cutset_mask(), star.components, budget, depth, to_star)
     raise NoDecompositionFound("no decomposition applies; input is outside the class")
 
 
@@ -310,43 +316,20 @@ def _extend_low_degree(G: Graph, v: int, budget: SearchBudget, depth: int) -> Co
     return Coloring(3, tuple(out))
 
 
-def _merge_clique(G: Graph, clique: tuple[int, ...], budget: SearchBudget, depth: int) -> Coloring:
-    cmask = mask_of(clique)
-    want = {u: i + 1 for i, u in enumerate(clique)}
+def _merge_sides(G: Graph, cut: int, sides, budget: SearchBudget, depth: int, agree) -> Coloring:
+    """Color each G[side | cut] one level down, let ``agree(sub, col,
+    old_ids)`` fit it to the cut, copy it back and verify the merge. Each
+    G[side | cut] is a component, or a component of G - cut together with
+    the connected cut it touches, so it is not split again."""
     out = [0] * G.n
-    for u, target in want.items():
-        out[u] = target
-    for comp in components_within(G, G.full_mask() & ~cmask):
-        sub, old_ids = induced_subgraph(G, comp | cmask)
-        pos = {old: new for new, old in enumerate(old_ids)}
-        col = _color_any(sub, budget, depth - 1)
-        col = _permute_palette(col, {pos[u]: target for u, target in want.items()})
+    for side in sides:
+        sub, old_ids = induced_subgraph(G, side | cut)
+        col = agree(sub, _color_any(sub, budget, depth - 1, split=False), old_ids)
         for new, old in enumerate(old_ids):
             out[old] = col.colors[new]
     merged = Coloring(3, tuple(out))
     if not verify_coloring(G, merged):
-        raise InvariantViolation("clique-cut merge improper; sides were inconsistent")
-    return merged
-
-
-def _merge_star(G: Graph, star, budget: SearchBudget, depth: int) -> Coloring:
-    x = star.center
-    X = star.leaves
-    out = [0] * G.n
-    out[x] = 1
-    for u in iter_bits(X):
-        out[u] = 2
-    for comp in star.components:
-        sub, old_ids = induced_subgraph(G, comp | X | 1 << x)
-        pos = {old: new for new, old in enumerate(old_ids)}
-        xmask = mask_of(pos[u] for u in iter_bits(X))
-        col = _color_any(sub, budget, depth - 1)
-        col = normalize_on_star(sub, col, pos[x], xmask)
-        for new, old in enumerate(old_ids):
-            out[old] = col.colors[new]
-    merged = Coloring(3, tuple(out))
-    if not verify_coloring(G, merged):
-        raise InvariantViolation("star merge improper; certificate was not minimal")
+        raise InvariantViolation("merged coloring improper; sides disagree on the cut")
     return merged
 
 

@@ -282,12 +282,6 @@ class Layering:
     source: int
     layers: tuple[int, ...]
 
-    def layer_of(self, v: int) -> int | None:
-        for k, mask in enumerate(self.layers):
-            if mask >> v & 1:
-                return k
-        return None
-
 
 def bfs_layers(G: Graph, source: int) -> Layering:
     if not 0 <= source < G.n:

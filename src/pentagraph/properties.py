@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import four_color
-from .decomposition import (
-    clique_cutset_star,
-    decompose,
-    find_clique_cutset,
-    find_p3_cutset,
-    find_star_cutset,
-    revalidate_outcome,
-)
+from .decomposition import decompose, find_p3_cutset, find_star_cutset, revalidate_outcome
 from .errors import InvariantViolation, SearchBudgetExceeded
 from .fixtures import fixture
 from .graph import Graph
@@ -74,7 +67,22 @@ def check_decomposition(G: Graph, budget: SearchBudget | None = None) -> CheckRe
 def check_p2_extension(G: Graph, budget: SearchBudget | None = None) -> CheckResult:
     """A graph with an induced copy of the eight-vertex fixture either is
     one of the four reference graphs or has a cut path or strong parity
-    star-cutset (a clique cutset counts, since it yields one)."""
+    star-cutset.
+
+    A clique cutset needs no branch of its own: in a triangle-free graph
+    with a cycle, a cut vertex or cut edge comes with a cut path. If the
+    graph is disconnected, three consecutive vertices of a cycle cut it.
+    If v is a cut vertex of a connected graph, take neighbours x and y of
+    v, x in the component of G - v that holds a cycle with or without v
+    and y in another: x-v-y cuts the graph unless y alone is the other
+    component; then two neighbours of v in x's component do, or w-x-v
+    when x is v's only neighbour there. If
+    the graph is 2-connected and uv is a cut edge, every component of
+    G - u - v meets both ends, so one has two vertices (else uv lies on a
+    triangle), and x-u-v with x a neighbour of u in it cuts the graph.
+    The fixture holds a cycle, so on triangle-free input the cut-path
+    search answers wherever a clique cutset exists.
+    """
     if budget is None:
         budget = SearchBudget.fresh()
     p2 = fixture("p2")
@@ -86,15 +94,6 @@ def check_p2_extension(G: Graph, budget: SearchBudget | None = None) -> CheckRes
                 return CheckResult(True, detail=f"isomorphic to {name}")
         if find_p3_cutset(G) is not None:
             return CheckResult(True, detail="cut path found")
-        clique = find_clique_cutset(G)
-        if clique is not None:
-            # A cut vertex or cut edge always yields a strong star; verify
-            # rather than assume.
-            if clique_cutset_star(G, clique, budget) is None:
-                return CheckResult(
-                    False, detail="clique cutset yields no strong star", witness=clique
-                )
-            return CheckResult(True, detail="clique cutset, strong star verified")
         if find_star_cutset(G, budget) is not None:
             return CheckResult(True, detail="strong parity star-cutset found")
     except SearchBudgetExceeded:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bfs, bit_list, blocks, canonical_cycle, iter_bits, mask_of
+from .graph import Graph, bfs, bit_list, blocks, iter_bits, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -87,9 +87,6 @@ class Hole:
 
     def mask(self) -> int:
         return mask_of(self.vertices)
-
-    def canonical(self) -> "Hole":
-        return Hole(canonical_cycle(self.vertices))
 
     def validate(self, G: Graph) -> None:
         seq = self.vertices

@@ -2,11 +2,15 @@
 recursive 3-coloring with its recombination steps, and the brute-force
 chromatic oracle."""
 
+import hashlib
+
 import pytest
 
 from pentagraph import (
     Coloring,
     ContractViolation,
+    CorpusSpec,
+    DecompositionOutcome,
     InvariantViolation,
     NoDecompositionFound,
     P3Cutset,
@@ -20,6 +24,7 @@ from pentagraph import (
     components,
     find_p3_cutset,
     four_color,
+    generate_corpus,
     iter_bits,
     kempe_component,
     kempe_swap,
@@ -30,7 +35,7 @@ from pentagraph import (
     verify_coloring,
     verify_parity_star_cutset,
 )
-from pentagraph.coloring import _merge_star
+from pentagraph import coloring
 from pentagraph.fixtures import cycle, fixture, petersen
 
 from conftest import make_rng, p3_gadget, star_gadget
@@ -44,7 +49,6 @@ def test_verify_coloring_basics():
     assert verify_coloring(G, Coloring(3, (1, 2, 1, 2, 3)))
     assert not verify_coloring(G, Coloring(3, (1, 1, 2, 3, 2)))
     assert verify_coloring(make_graph(0, []), Coloring(3, ()))
-    assert Coloring(3, (1, 2, 1, 2, 3)).used() == {1, 2, 3}
     with pytest.raises(ContractViolation):
         verify_coloring(G, Coloring(3, (1, 2, 1)))
     with pytest.raises(ContractViolation):
@@ -272,11 +276,19 @@ def test_normalize_on_star_contract_errors():
         normalize_on_star(C5, Coloring(3, c5.colors[:3]), 4, mask_of([0, 3]))
 
 
-def test_merge_star_colors_the_gadget():
+def test_merge_star_colors_the_gadget(monkeypatch):
+    # The gadget has a vertex of degree two, so decompose is made to answer
+    # with the star for the whole graph and the sides merge across it.
     G = star_gadget()
     cert = verify_parity_star_cutset(G, 0, mask_of((1, 2)))
     assert cert is not None and cert.strong
-    col = _merge_star(G, cert, SearchBudget.fresh(), G.n + 2)
+    real = coloring.decompose
+    monkeypatch.setattr(
+        coloring,
+        "decompose",
+        lambda H, budget: DecompositionOutcome("star", star=cert) if H is G else real(H, budget),
+    )
+    col = three_color(G)
     assert col.k == 3
     assert verify_coloring(G, col)
     assert col.colors[0] == 1 and col.colors[1] == col.colors[2] == 2
@@ -321,6 +333,25 @@ def test_three_color_random_members(random_pentagraphs_20, random_pentagraphs_40
         assert verify_coloring(G, three_color(G, SearchBudget(10**9)))
     for G in random_pentagraphs_40[::10]:
         assert verify_coloring(G, three_color(G, SearchBudget(10**9)))
+
+
+def test_three_color_colorings_are_pinned():
+    # Every member on at most six vertices, twenty grown members and two
+    # Petersen copies glued at a vertex: the colorings themselves, not just
+    # their properness, are fixed.
+    grown = CorpusSpec("random", 1, 40, seed=20260822, target_count=20)
+    graphs = [
+        *generate_corpus(CorpusSpec("exhaustive", 0, 6)),
+        *generate_corpus(grown, SearchBudget(10**9)),
+        glue_petersens_at_vertex(),
+    ]
+    assert len(graphs) == 3797
+    digest = hashlib.sha256()
+    for G in graphs:
+        digest.update((",".join(map(str, three_color(G).colors)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "1c9332600d759d6bd488b280d3be8d4b21945a438f471a7cd2bc2c06e8958d23"
+    )
 
 
 def test_three_color_through_clique_cuts():

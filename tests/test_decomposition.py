@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
@@ -74,6 +75,38 @@ def test_find_clique_cutset():
     )
     assert find_clique_cutset(shared) == (0, 1)
     assert find_clique_cutset(glue_petersens_at_vertex()) == (9,)
+
+
+@st.composite
+def triangle_free_with_cycle(draw):
+    """A k-cycle (4 <= k <= n) on n <= 14 vertices plus drawn edges that
+    close no triangle, relabeled at random."""
+    n = draw(st.integers(4, 14))
+    k = draw(st.integers(4, n))
+    adj = [0] * n
+    edges = []
+
+    def add(u, v):
+        if u != v and not adj[u] >> v & 1 and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append((u, v))
+
+    for i in range(k):
+        add(i, (i + 1) % k)
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        add(u, v)
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=300)
+@given(triangle_free_with_cycle())
+def test_a_clique_cutset_comes_with_a_cut_path(G):
+    # The lemma behind check_p2_extension (t25) having no clique branch.
+    if find_clique_cutset(G) is not None:
+        assert find_p3_cutset(G) is not None
 
 
 def test_find_p3_cutset():

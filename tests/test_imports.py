@@ -1,6 +1,9 @@
-"""Every name a library module or a test file imports is used in that file.
+"""Every name a library module or a test file imports is used in that file,
+and every private module-level name of the package is referred to by the
+package itself, not only by tests.
 
-The package ``__init__`` is exempt: its imports are the public API.
+The package ``__init__`` is exempt from the import check: its imports are
+the public API.
 """
 
 import ast
@@ -43,3 +46,50 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names starting with one underscore that no source in
+    ``sources`` (file name to text) reads, other than by defining them."""
+    defined = {}
+    read = set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{fname}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_the_check_sees_an_unreferenced_private_name():
+    source = (
+        "_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+        "def _orphan():\n    _DEAD = 3\n\n\nclass _Gone:\n    pass\n\n\nprint(_helper())\n"
+    )
+    assert unreferenced_private_names({"m.py": source}) == [
+        "_DEAD (m.py:2)",
+        "_Gone (m.py:13)",
+        "_orphan (m.py:9)",
+    ]
+    other = "from . import m\n\nm._orphan(m._Gone, m._DEAD)\n"
+    assert unreferenced_private_names({"m.py": source, "n.py": other}) == []
+
+
+def test_every_private_name_is_used_by_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert "coloring.py" in sources
+    assert unreferenced_private_names(sources) == []

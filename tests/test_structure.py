@@ -77,7 +77,6 @@ def test_witness_validation():
         Hole((0, 1, 2, 3)).validate(C5)
     with pytest.raises(InvariantViolation):
         Hole((0, 1, 2)).validate(make_graph(3, [(0, 1), (1, 2), (0, 2)]))
-    assert Hole((2, 3, 4, 0, 1)).canonical() == Hole((0, 1, 2, 3, 4))
     Embedding((0, 1, 2)).validate(C5, make_graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(InvariantViolation):
         Embedding((0, 1, 1)).validate(C5, make_graph(3, [(0, 1), (1, 2)]))
