@@ -42,7 +42,7 @@ from .formats import (
 )
 from .generate import EXHAUSTIVE_MAX_N, CorpusSpec, generate_corpus
 from .graph import INFINITY, Graph, bit_list, is_bipartite
-from .properties import CHECKS
+from .properties import CHECKS, CheckResult
 from .recognition import (
     INDETERMINATE,
     NOT_PENTAGRAPH,
@@ -385,7 +385,11 @@ def cmd_corpus(args) -> int:
 def _verify_one(task: tuple[str, str, int]) -> dict:
     which, line, max_steps = task
     G = parse_graph6(line)
-    res = CHECKS[which](G, SearchBudget(max_steps))
+    try:
+        res = CHECKS[which](G, SearchBudget(max_steps))
+    except InvariantViolation as e:
+        # The checkers assume a member of the class; this input is not one.
+        res = CheckResult(False, detail=f"input outside the class: {e}", witness=e.witness)
     return {
         "ok": res.ok,
         "indeterminate": res.indeterminate,

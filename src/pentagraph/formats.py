@@ -44,18 +44,14 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nchars:
         raise ParseError("trailing characters after graph6 body", base + pos + nchars)
-    edges = []
-    bit = 0
-    for k, ch in enumerate(body):
-        v = _g6_val(ch, base + pos + k)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if (v >> shift) & 1:
-                    raise ParseError("nonzero padding bits", base + pos + k)
-                continue
-            if (v >> shift) & 1:
-                edges.append(_bit_to_edge(bit))
-            bit += 1
+    vals = [_g6_val(ch, base + pos + k) for k, ch in enumerate(body)]
+    # Padding bits live only in the last character.
+    if vals and vals[-1] & ((1 << (6 * nchars - nbits)) - 1):
+        raise ParseError("nonzero padding bits", base + pos + nchars - 1)
+    # Bits run over the upper triangle column by column, as write_graph6 emits them.
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    bits = (v >> shift & 1 for v in vals for shift in range(5, -1, -1))
+    edges = [ij for ij, b in zip(pairs, bits) if b]
     try:
         # Parsers accept anything up to the hard cap; the default cap only
         # guards graphs built programmatically.
@@ -78,15 +74,6 @@ def _parse_g6_order(line: str, base: int) -> tuple[int, int]:
     for k in range(1, 4):
         n = n << 6 | _g6_val(line[k], base + k)
     return n, 4
-
-
-def _bit_to_edge(bit: int) -> tuple[int, int]:
-    """Invert the column-major upper-triangle bit position."""
-    j = 1
-    while (j + 1) * j // 2 <= bit:
-        j += 1
-    i = bit - j * (j - 1) // 2
-    return i, j
 
 
 def write_graph6(G: Graph) -> str:

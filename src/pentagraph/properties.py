@@ -14,7 +14,7 @@ from .coloring import four_color
 from .decomposition import decompose, find_p3_cutset, find_star_cutset, revalidate_outcome
 from .errors import InvariantViolation, SearchBudgetExceeded
 from .fixtures import fixture
-from .graph import Graph
+from .graph import Graph, mask_of
 from .structure import (
     SearchBudget,
     contains_induced,
@@ -118,14 +118,13 @@ def check_local_jump_pairs(G: Graph, budget: SearchBudget | None = None) -> Chec
             local = [j for j in find_jumps(G, hole, budget=budget) if j.kind in ("short", "local")]
             ring = hole.vertices
             hmask = hole.mask()
+            ends = [mask_of(jump.path.ends) for jump in local]
             for i in range(len(local)):
                 for j in range(i + 1, len(local)):
-                    e1 = set(local[i].path.ends)
-                    e2 = set(local[j].path.ends)
-                    shared = e1 & e2
-                    if len(shared) != 1:
+                    shared = ends[i] & ends[j]
+                    if not shared or shared & (shared - 1):
                         continue
-                    c = shared.pop()
+                    c = shared.bit_length() - 1
                     idx = ring.index(c)
                     a = ring[idx - 1]
                     b = ring[(idx + 1) % len(ring)]

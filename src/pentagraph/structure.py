@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bfs, bit_list, blocks, iter_bits, mask_of
+from .graph import Graph, bit_list, blocks, iter_bits, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -395,9 +395,17 @@ def contains_induced(
 ) -> Embedding | None:
     """First induced embedding of ``pattern`` into G, or None.
 
-    Backtracking over pattern vertices in a most-constrained-first order,
-    pruning by degree and by the fact that host distances never exceed
-    pattern distances under an induced embedding.
+    Backtracking over pattern vertices in a most-constrained-first order.
+    Pattern vertex u draws its candidates from one host mask: the unused
+    hosts of degree at least deg(u), inside N(assign[w]) for each placed
+    neighbour w of u and outside it for each placed non-neighbour. The
+    hosts are tried in ascending order, one budget step each, so the
+    first embedding is the least one keyed by hosts in search order.
+
+    The mask holds exactly the hosts that keep the partial map induced,
+    so any sound prune would change the steps, never the answer. One by
+    distance (host distance at most pattern distance, as a pattern path
+    maps onto a host walk) would cut only branches holding no embedding.
     """
     if pattern.n > G.n:
         return None
@@ -406,45 +414,32 @@ def contains_induced(
     if budget is None:
         budget = SearchBudget.fresh()
     order = _search_order(pattern)
-    pdist = _all_pairs_dist(pattern)
-    gdist = _all_pairs_dist(G)
-    pdeg = [pattern.degree(v) for v in range(pattern.n)]
-    gdeg = [G.degree(v) for v in range(G.n)]
+    by_degree = [
+        mask_of(h for h in range(G.n) if G.degree(h) >= pattern.degree(u))
+        for u in range(pattern.n)
+    ]
     assign = [-1] * pattern.n
-    used = 0
 
-    def place(pos: int) -> bool:
-        nonlocal used
+    def place(pos: int, used: int) -> bool:
         if pos == len(order):
             return True
         u = order[pos]
-        du = pdeg[u]
-        for h in range(G.n):
-            hb = 1 << h
-            if used & hb or gdeg[h] < du:
-                continue
+        cand = by_degree[u] & ~used
+        for w in order[:pos]:
+            if pattern.has_edge(u, w):
+                cand &= G.adj[assign[w]]
+            else:
+                cand &= ~G.adj[assign[w]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
             budget.spend()
-            ok = True
-            for w in order[:pos]:
-                hw = assign[w]
-                if pattern.has_edge(u, w) != G.has_edge(h, hw):
-                    ok = False
-                    break
-                dp = pdist[u][w]
-                if dp >= 0 and (gdist[h][hw] < 0 or gdist[h][hw] > dp):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[u] = h
-            used |= hb
-            if place(pos + 1):
+            assign[u] = low.bit_length() - 1
+            if place(pos + 1, used | low):
                 return True
-            used &= ~hb
-            assign[u] = -1
         return False
 
-    if place(0):
+    if place(0, 0):
         emb = Embedding(tuple(assign))
         emb.validate(G, pattern)
         return emb
@@ -469,11 +464,6 @@ def _search_order(pattern: Graph) -> list[int]:
         order.append(best)
         placed.add(best)
     return order
-
-
-def _all_pairs_dist(G: Graph) -> list[list[int]]:
-    """BFS distance matrix with -1 for unreachable pairs."""
-    return [bfs(G, 1 << s)[0] for s in range(G.n)]
 
 
 def is_isomorphic(G: Graph, H: Graph, budget: SearchBudget | None = None) -> bool:

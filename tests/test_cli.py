@@ -275,6 +275,24 @@ def test_verify_counterexample_and_budget(capsys, tmp_path):
     assert rep["budget"]["exhausted"] is True
 
 
+def test_verify_reports_off_class_lines(capsys, tmp_path):
+    # p2, then a nine-vertex graph of girth 4 that holds p2: its jump scan
+    # raises InvariantViolation, which fails that line instead of the run.
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("GhDGKc\nHhDGKea\n")
+    for jobs in ("1", "2"):
+        code, out, _ = run(["verify", "t25", str(corpus), "--jobs", jobs], capsys)
+        outcome = report(out)["outcome"]
+        assert code == 1
+        assert (outcome["total"], outcome["passed"], outcome["failed"]) == (2, 1, 1)
+        first = outcome["first_counterexample"]
+        assert first["index"] == 1 and first["graph6"] == "HhDGKea"
+        assert first["detail"] == (
+            "input outside the class: short jump touched by the hole; girth < 5 input"
+        )
+        assert first["witness"] == "InducedPath(vertices=(2, 8, 6, 7))"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(["oracle", "fixture:c5", "--which", "chromatic"], capsys)
     rep = report(out)

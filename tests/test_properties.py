@@ -12,7 +12,9 @@ from pentagraph import (
     check_layered_coloring,
     check_local_jump_pairs,
     check_p2_extension,
+    contains_induced,
     enumerate_induced_paths,
+    five_holes,
     is_isomorphic,
     make_graph,
     mask_of,
@@ -170,8 +172,12 @@ def test_jump_pairs_budget_outcomes():
     G = jump_clash_gadget()
     r = check_local_jump_pairs(G, SearchBudget(1))
     assert r.ok and r.indeterminate and r.detail == "budget ran out"
-    # A budget that survives the hole scan but runs out in the jump scan.
-    r = check_local_jump_pairs(G, SearchBudget(60))
+    # A budget that survives the p2 search and the hole scan but runs out
+    # in the jump scan: one step more than those two spend.
+    budget = SearchBudget(10**6)
+    assert contains_induced(G, fixture("p2"), budget) is None
+    five_holes(G, budget)
+    r = check_local_jump_pairs(G, SearchBudget(10**6 - budget.remaining + 1))
     assert r.ok and r.indeterminate and r.detail == "budget ran out"
 
 
