@@ -91,7 +91,6 @@ from .recognition import (
     NOT_PENTAGRAPH,
     PENTAGRAPH,
     RecognitionReport,
-    is_pentagraph,
     naive_recognize,
     recognize,
 )

@@ -394,16 +394,8 @@ def _verify_one(task: tuple[str, str, int]) -> dict:
         "ok": res.ok,
         "indeterminate": res.indeterminate,
         "detail": res.detail,
-        "witness": _json_safe(res.witness),
+        "witness": res.witness,
     }
-
-
-def _json_safe(value):
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
 
 
 def cmd_verify(args) -> int:

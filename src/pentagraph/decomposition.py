@@ -255,8 +255,7 @@ def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | No
         if j.kind == "short":
             shorts[j.across].append(j)
             short_interiors |= j.path.interior_mask()
-        if j.kind in ("short", "local"):
-            locals_[j.across].append(j)
+        locals_[j.across].append(j)
 
     labelings = []
     for r in range(5):

@@ -115,7 +115,7 @@ def check_local_jump_pairs(G: Graph, budget: SearchBudget | None = None) -> Chec
             return CheckResult(True, detail="premise void: contains p2")
         pairs_checked = 0
         for hole in five_holes(G, budget):
-            local = [j for j in find_jumps(G, hole, budget=budget) if j.kind in ("short", "local")]
+            local = find_jumps(G, hole, budget=budget)
             ring = hole.vertices
             hmask = hole.mask()
             ends = [mask_of(jump.path.ends) for jump in local]

@@ -76,14 +76,6 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     )
 
 
-def is_pentagraph(G: Graph, budget: SearchBudget | None = None) -> bool:
-    """Boolean recognition; budget exhaustion raises instead of guessing."""
-    report = recognize(G, budget)
-    if report.indeterminate:
-        raise SearchBudgetExceeded(report.reason)
-    return report.verdict == PENTAGRAPH
-
-
 def naive_recognize(G: Graph) -> RecognitionReport:
     """Reference recognizer by brute force over all vertex subsets.
 

@@ -304,12 +304,12 @@ def is_odd_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) 
 
 @dataclass(frozen=True)
 class Jump:
-    """An induced path between two non-adjacent vertices of a 5-hole, with
-    no other hole vertices on it.
+    """A local jump over a 5-hole: an induced path between two non-adjacent
+    hole vertices whose interior avoids the hole and the neighbourhoods of
+    the two hole vertices that are neither its ends nor ``across``.
 
     ``across`` is the hole vertex adjacent to both ends. ``kind`` is
-    "short" (length exactly 3), "local" (no hole vertex other than the
-    ends and ``across`` touches the interior) or "general".
+    "short" for length exactly 3 and "local" for any longer jump.
     """
 
     path: InducedPath
@@ -329,22 +329,32 @@ class Jump:
             raise InvariantViolation("jump ends must lie on the hole")
         if G.has_edge(s, t):
             raise InvariantViolation("jump ends must be non-adjacent")
-        if self.path.interior_mask() & hmask:
+        interior = self.path.interior_mask()
+        if interior & hmask:
             raise InvariantViolation("jump interior must avoid the hole")
         if self.path.length < 3:
             raise InvariantViolation("jumps have length at least three")
+        if self.kind != ("short" if self.path.length == 3 else "local"):
+            raise InvariantViolation(f"a jump of length {self.path.length} is not {self.kind}")
         if not (G.has_edge(self.across, s) and G.has_edge(self.across, t)):
             raise InvariantViolation("'across' vertex must neighbor both ends")
+        others = hmask & ~mask_of((s, t, self.across))
+        if any(G.adj[v] & interior for v in iter_bits(others)):
+            raise InvariantViolation("jump interior touches a hole vertex off its ends and across")
 
 
 def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tuple[Jump, ...]:
-    """Enumerate and classify the jumps over the 5-hole C.
+    """The short and local jumps over the 5-hole C, pair by pair in
+    ascending order of ends, each pair's paths in DFS order.
 
-    A jump and the hole path across it close a cycle, which lies in C's
-    block, so the search runs inside that block only. It drops DFS
-    subtrees that cannot reach the far end, and keeps every jump and the
-    order. Like every search here, running out of budget raises
-    SearchBudgetExceeded; a partial list is never returned.
+    Jumps touched by a hole vertex other than their ends and ``across``
+    are not enumerated: the proof's star cutsets read none of them. Each
+    pair's search keeps those two neighbourhoods out of its interior, and
+    stays in C's block, where the cycle a jump closes with C lies. The DFS
+    extends in ascending vertex order, so a smaller allowed set only drops
+    subtrees and keeps the order of the paths left. Like every search
+    here, running out of budget raises SearchBudgetExceeded; a partial
+    list is never returned.
     """
     if C.length != 5:
         raise ContractViolation("jumps are defined over 5-holes")
@@ -359,33 +369,25 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tupl
     for i in range(5):
         s, t = cyc[i], cyc[(i + 2) % 5]
         across = cyc[(i + 1) % 5]
-        pairs.append((min(s, t), max(s, t), across))
+        near = G.adj[cyc[(i + 3) % 5]] | G.adj[cyc[(i + 4) % 5]]
+        pairs.append((min(s, t), max(s, t), across, allowed & ~near))
     pairs.sort()
     return tuple(
         _classify_jump(G, C, p, across)
-        for s, t, across in pairs
-        for p in enumerate_induced_paths(G, s, t, allowed, min_len=3, budget=budget)
+        for s, t, across, inside in pairs
+        for p in enumerate_induced_paths(G, s, t, inside, min_len=3, budget=budget)
     )
 
 
 def _classify_jump(G: Graph, C: Hole, p: InducedPath, across: int) -> Jump:
-    s, t = p.ends
-    interior = p.interior_mask()
-    others = C.mask() & ~(1 << across) & ~(1 << s) & ~(1 << t)
-    local = all(G.adj[v] & interior == 0 for v in iter_bits(others))
-    if p.length == 3:
-        # Length three forces locality when the girth is at least five;
-        # anything else means the input was not a pentagraph.
-        if not local or G.adj[across] & interior:
-            raise InvariantViolation("short jump touched by the hole; girth < 5 input", p)
-        kind = "short"
-    elif local:
-        if p.length % 2 == 0:
-            raise InvariantViolation("even local jump; input has a short or long odd hole", p)
-        kind = "local"
-    else:
-        kind = "general"
-    jump = Jump(p, C, across, kind)
+    # A length-three jump touched by ``across`` closes a cycle shorter than
+    # five, and an even local jump closes an odd hole longer than five with
+    # the side of C away from ``across``: the input is not a pentagraph.
+    if p.length == 3 and G.adj[across] & p.interior_mask():
+        raise InvariantViolation("short jump touched by the hole; girth < 5 input", p.vertices)
+    if p.length % 2 == 0:
+        raise InvariantViolation("even local jump; input has a short or long odd hole", p.vertices)
+    jump = Jump(p, C, across, "short" if p.length == 3 else "local")
     jump.validate(G)
     return jump
 

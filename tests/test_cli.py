@@ -276,21 +276,30 @@ def test_verify_counterexample_and_budget(capsys, tmp_path):
 
 
 def test_verify_reports_off_class_lines(capsys, tmp_path):
-    # p2, then a nine-vertex graph of girth 4 that holds p2: its jump scan
-    # raises InvariantViolation, which fails that line instead of the run.
-    corpus = tmp_path / "mixed.g6"
-    corpus.write_text("GhDGKc\nHhDGKea\n")
-    for jobs in ("1", "2"):
-        code, out, _ = run(["verify", "t25", str(corpus), "--jobs", jobs], capsys)
-        outcome = report(out)["outcome"]
-        assert code == 1
-        assert (outcome["total"], outcome["passed"], outcome["failed"]) == (2, 1, 1)
-        first = outcome["first_counterexample"]
-        assert first["index"] == 1 and first["graph6"] == "HhDGKea"
-        assert first["detail"] == (
-            "input outside the class: short jump touched by the hole; girth < 5 input"
-        )
-        assert first["witness"] == "InducedPath(vertices=(2, 8, 6, 7))"
+    # p2, then a nine-vertex graph of girth 4 that holds p2: t25 finds no
+    # cutset for it and fails that line. Then C5 plus the even path
+    # 1-5-6-7-4: t31's jump scan raises InvariantViolation, which fails that
+    # line with the jump's vertices as witness instead of aborting the run.
+    t25 = tmp_path / "t25.g6"
+    t25.write_text("GhDGKc\nHhDGKea\n")
+    t31 = tmp_path / "t31.g6"
+    t31.write_text("GhDGKc\nGhd?GS\n")
+    cases = (
+        ("t25", t25, "HhDGKea", "no qualifying cutset and not a reference graph", None),
+        ("t31", t31, "Ghd?GS",
+         "input outside the class: even local jump; input has a short or long odd hole",
+         [1, 5, 6, 7, 4]),
+    )
+    for which, corpus, line, detail, witness in cases:
+        for jobs in ("1", "2"):
+            code, out, _ = run(["verify", which, str(corpus), "--jobs", jobs], capsys)
+            outcome = report(out)["outcome"]
+            assert code == 1
+            assert (outcome["total"], outcome["passed"], outcome["failed"]) == (2, 1, 1)
+            first = outcome["first_counterexample"]
+            assert first["index"] == 1 and first["graph6"] == line
+            assert first["detail"] == detail
+            assert first["witness"] == witness
 
 
 def test_oracle_command(capsys):

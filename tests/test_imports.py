@@ -1,6 +1,7 @@
 """Every name a library module or a test file imports is used in that file,
-and every private module-level name of the package is referred to by the
-package itself, not only by tests.
+every private module-level name of the package is referred to by the
+package itself, not only by tests, and only SearchBudget.spend raises
+SearchBudgetExceeded.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -93,3 +94,43 @@ def test_every_private_name_is_used_by_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert "coloring.py" in sources
     assert unreferenced_private_names(sources) == []
+
+
+def budget_raise_sites(source: str) -> list[str]:
+    """The qualified name of the function or method around each statement
+    in ``source`` that raises SearchBudgetExceeded."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "SearchBudgetExceeded":
+                    sites.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_the_check_sees_a_budget_raise():
+    source = (
+        "class B:\n    def spend(self):\n        raise SearchBudgetExceeded('out')\n\n\n"
+        "def f():\n    raise errors.SearchBudgetExceeded\n\n\nraise SearchBudgetExceeded\n"
+    )
+    assert budget_raise_sites(source) == ["B.spend", "f", "<module>"]
+
+
+def test_only_search_budget_spend_raises_budget_exhaustion():
+    # An exhausted budget has one route: SearchBudget.spend raises, and
+    # every caller either lets it propagate or reports "indeterminate".
+    sites = {
+        p.name: found
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (found := budget_raise_sites(p.read_text(encoding="utf-8")))
+    }
+    assert sites == {"structure.py": ["SearchBudget.spend"]}

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
@@ -9,9 +8,7 @@ from pentagraph import (
     NOT_PENTAGRAPH,
     PENTAGRAPH,
     SearchBudget,
-    SearchBudgetExceeded,
     chromatic_number_bruteforce,
-    is_pentagraph,
     make_graph,
     naive_recognize,
     random_pentagraph,
@@ -66,16 +63,9 @@ def test_budget_exhaustion_is_indeterminate():
     assert rep.verdict == INDETERMINATE
     assert rep.is_pentagraph is None
     assert rep.indeterminate
-    with pytest.raises(SearchBudgetExceeded):
-        is_pentagraph(fixture("petersen"), budget=SearchBudget(1))
     # Girth refutation needs no search budget at all.
     rep = recognize(cycle(4), budget=SearchBudget(0))
     assert rep.verdict == NOT_PENTAGRAPH
-
-
-def test_is_pentagraph_bool():
-    assert is_pentagraph(fixture("petersen"))
-    assert not is_pentagraph(cycle(7))
 
 
 def check_witness(G, rep):

@@ -7,6 +7,7 @@ from pentagraph import (
     Hole,
     InducedPath,
     InvariantViolation,
+    Jump,
     SearchBudget,
     SearchBudgetExceeded,
     contains_induced,
@@ -265,10 +266,15 @@ def test_block_searches_match_oracle_on_glued_graphs(G):
     assert (hole is None) == (not long_odd)
     assert hole is None or hole.mask() in long_odd
     for C in holes:
+        # Only local jumps: no hole vertex other than the ends and the one
+        # across touches the interior.
         cyc = C.vertices
-        ends = (sorted((cyc[i], cyc[(i + 2) % 5])) for i in range(5))
-        want = [p for s, t in ends for p in o_induced_paths(G, s, t, G.full_mask() & ~C.mask())
-                if len(p) >= 4]
+        want = []
+        for i in range(5):
+            s, t = sorted((cyc[i], cyc[(i + 2) % 5]))
+            others = (cyc[(i + 3) % 5], cyc[(i + 4) % 5])
+            want += [p for p in o_induced_paths(G, s, t, G.full_mask() & ~C.mask())
+                     if len(p) >= 4 and not any(G.has_edge(v, z) for v in others for z in p[1:-1])]
         try:
             jumps = find_jumps(G, C)
         except InvariantViolation:
@@ -342,13 +348,35 @@ def test_find_jumps_local():
     assert jumps[0].across == 0
 
 
-def test_find_jumps_general_and_filters():
+def test_find_jumps_skips_nonlocal_paths():
+    # 1-6-7-8-2-5-4 joins two hole vertices across 3, but hole vertex 0
+    # neighbours its vertex 2, so it is no jump the search returns.
     S = star_gadget()
     C = Hole((0, 1, 3, 4, 9))
     assert [(j.kind, j.path.vertices, j.across) for j in find_jumps(S, C)] == [
         ("short", (0, 2, 5, 4), 9),
-        ("general", (1, 6, 7, 8, 2, 5, 4), 3),
     ]
+
+
+def test_jump_validate_rejects_nonlocal_and_mislabelled_paths():
+    S = star_gadget()
+    C = Hole((0, 1, 3, 4, 9))
+    path = InducedPath((1, 6, 7, 8, 2, 5, 4))
+    with pytest.raises(InvariantViolation, match="touches a hole vertex"):
+        Jump(path, C, 3, "local").validate(S)
+    with pytest.raises(InvariantViolation, match="is not local"):
+        Jump(InducedPath((0, 2, 5, 4)), C, 9, "local").validate(S)
+
+
+def test_jump_steps_on_random_grow_graphs(random_pentagraphs_40):
+    # Pins the work of the jump search on the first 100 random members: a
+    # search that also walked the non-local paths spends 461,374 steps.
+    budget = SearchBudget(10**9)
+    count = 0
+    for G in random_pentagraphs_40[:100]:
+        for C in five_holes(G):
+            count += len(find_jumps(G, C, budget=budget))
+    assert (count, 10**9 - budget.remaining) == (4004, 284365)
 
 
 def test_find_jumps_rejects_bad_input():
