@@ -17,6 +17,10 @@ graph lands in the class by construction. The legality probes are exact
 and draw on the caller's step budget alone: a stream whose budget runs
 dry stops early and says so (``CorpusStream.truncated``) rather than emit
 a graph with a legal edge left out.
+
+Parity settles many probes without a search: ends in different
+components are joined by no path, and ends on opposite sides of a
+bipartite component only by odd ones, so neither pair needs a probe.
 """
 
 from __future__ import annotations
@@ -147,6 +151,12 @@ def random_pentagraph(
     charges ``budget``; running out raises SearchBudgetExceeded instead of
     skipping the edge, so with the coin at 1.0 the result is maximal under
     both rules.
+
+    The probe is skipped when the ends lie in different components, where
+    no path joins them and they are trivially far apart, or on opposite
+    sides of a bipartite component, where every path between them is odd.
+    Neither holds an even path, so the graph is the one that probing every
+    far-apart pair gives, for fewer steps.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -154,22 +164,38 @@ def random_pentagraph(
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     full = (1 << n) - 1
+    # The grown graph's components: a label and a 2-coloring side per
+    # vertex, and per label whether the component is still bipartite.
+    # Edges are only added, so a flag only turns off.
+    comp = list(range(n))
+    side = [0] * n
+    bipartite = [True] * n
     for u, v in pairs:
         if edge_probability < 1.0 and rng.random() >= edge_probability:
             continue
-        if not _far_apart(adj, u, v):
-            continue
-        if enumerate_induced_paths(
-            Graph(n, tuple(adj)),
-            u,
-            v,
-            full & ~(1 << u) & ~(1 << v),
-            parity="even",
-            min_len=6,
-            limit=1,
-            budget=budget,
-        ):
-            continue
+        cu, cv = comp[u], comp[v]
+        if cu == cv:
+            if not _far_apart(adj, u, v):
+                continue
+            if (not bipartite[cu] or side[u] == side[v]) and enumerate_induced_paths(
+                Graph(n, tuple(adj)),
+                u,
+                v,
+                full & ~(1 << u) & ~(1 << v),
+                parity="even",
+                min_len=6,
+                limit=1,
+                budget=budget,
+            ):
+                continue
+            bipartite[cu] = bipartite[cu] and side[u] != side[v]
+        else:
+            flip = side[u] == side[v]
+            for w in range(n):
+                if comp[w] == cv:
+                    comp[w] = cu
+                    side[w] ^= flip
+            bipartite[cu] = bipartite[cu] and bipartite[cv]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))

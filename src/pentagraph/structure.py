@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bit_list, blocks, iter_bits, mask_of
+from .graph import Graph, bit_list, blocks, is_bipartite, iter_bits, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -213,9 +213,11 @@ def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | N
     Walks the holes through their minimum vertex and stops at the first
     whose path between the two neighbors is odd with length >= 5. The
     search runs inside one block at a time and skips blocks of fewer than
-    seven vertices; no hole lies outside those, so the answer is the one a
-    search of the whole graph finds first. Exact; raises
-    SearchBudgetExceeded instead of answering when the budget runs out.
+    seven vertices and bipartite blocks: an odd hole lies in one block,
+    which is big enough and holds an odd cycle. So the answer is the one a
+    search of the whole graph finds first, and a bipartite graph costs no
+    step. Exact; raises SearchBudgetExceeded instead of answering when the
+    budget runs out.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -227,9 +229,9 @@ def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
     """Every induced 5-cycle, one representative per vertex set, in a
     deterministic order (by minimum vertex, then neighbor pair, then DFS).
 
-    The search runs inside blocks of at least five vertices, where every
-    5-hole lies, so the list and its order are those of a whole-graph
-    search.
+    The search runs inside the non-bipartite blocks of at least five
+    vertices: a 5-hole is an odd cycle and lies in one such block. So the
+    list and its order are those of a whole-graph search.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -250,11 +252,19 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
     subtrees that cannot reach b2, and keeps every path and its order. A
     hole of at least ``min_len + 2`` vertices needs a block that big, so
     smaller blocks are never searched.
+
+    Both callers ask only for odd holes, and an odd cycle cannot lie in a
+    bipartite block: there every b1-b2 path has the parity of the b1-b2
+    distance, which is even, as b1 and b2 share the neighbour a. So
+    bipartite blocks are skipped too, and only subtrees holding no
+    answer go.
     """
     adj = G.adj
     full = G.full_mask()
     least = min_len + 2
-    big = [B for B in blocks(G) if B.bit_count() >= least]
+    big = [
+        B for B in blocks(G) if B.bit_count() >= least and not is_bipartite(G, within=B)
+    ]
     for a in range(G.n):
         at_a = [B for B in big if B >> a & 1]
         if not at_a:
@@ -308,14 +318,17 @@ class Jump:
     hole vertices whose interior avoids the hole and the neighbourhoods of
     the two hole vertices that are neither its ends nor ``across``.
 
-    ``across`` is the hole vertex adjacent to both ends. ``kind`` is
-    "short" for length exactly 3 and "local" for any longer jump.
+    ``across`` is the hole vertex adjacent to both ends.
     """
 
     path: InducedPath
     hole: Hole
     across: int
-    kind: str
+
+    @property
+    def kind(self) -> str:
+        """The jump's kind: "short" for length exactly 3, "local" for longer."""
+        return "short" if self.path.length == 3 else "local"
 
     @property
     def ends(self) -> tuple[int, int]:
@@ -334,8 +347,6 @@ class Jump:
             raise InvariantViolation("jump interior must avoid the hole")
         if self.path.length < 3:
             raise InvariantViolation("jumps have length at least three")
-        if self.kind != ("short" if self.path.length == 3 else "local"):
-            raise InvariantViolation(f"a jump of length {self.path.length} is not {self.kind}")
         if not (G.has_edge(self.across, s) and G.has_edge(self.across, t)):
             raise InvariantViolation("'across' vertex must neighbor both ends")
         others = hmask & ~mask_of((s, t, self.across))
@@ -387,7 +398,7 @@ def _classify_jump(G: Graph, C: Hole, p: InducedPath, across: int) -> Jump:
         raise InvariantViolation("short jump touched by the hole; girth < 5 input", p.vertices)
     if p.length % 2 == 0:
         raise InvariantViolation("even local jump; input has a short or long odd hole", p.vertices)
-    jump = Jump(p, C, across, "short" if p.length == 3 else "local")
+    jump = Jump(p, C, across)
     jump.validate(G)
     return jump
 

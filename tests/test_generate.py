@@ -21,7 +21,7 @@ from pentagraph.generate import enumerate_girth5
 from pentagraph.graph import Graph
 
 from conftest import make_rng
-from oracles import o_all_graphs, o_girth
+from oracles import o_all_graphs, o_distance, o_girth
 
 # Labeled graphs of girth at least five, by vertex count.
 GIRTH5_COUNTS = [1, 1, 2, 7, 38, 303, 3424, 53365]
@@ -92,6 +92,48 @@ def test_random_grower_is_maximal():
                     parity="even", min_len=6, limit=1,
                 )
                 assert long_even, f"{tag}: edge {u}-{v} was legal but skipped"
+
+
+def reference_grower(n, rng, edge_probability):
+    """random_pentagraph without its parity cut: every far-apart pair is
+    probed for an induced even path of length at least six."""
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if edge_probability < 1.0 and rng.random() >= edge_probability:
+            continue
+        G = Graph(n, tuple(adj))
+        d = o_distance(G, u, v)
+        if d is not None and d <= 3:
+            continue
+        rest = G.full_mask() & ~(1 << u) & ~(1 << v)
+        if enumerate_induced_paths(G, u, v, rest, parity="even", min_len=6, limit=1):
+            continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+@pytest.mark.parametrize("edge_probability", [1.0, 0.5])
+def test_random_grower_matches_reference_without_parity_cut(edge_probability):
+    # Skipping the probe where the ends lie in different components, or on
+    # opposite sides of one bipartite component, must not change a graph.
+    rng = make_rng(f"reference-grower-{edge_probability}")
+    for _ in range(30):
+        n = rng.randrange(31)
+        seed = rng.randrange(1 << 32)
+        got = random_pentagraph(n, random.Random(seed), edge_probability)
+        assert got == reference_grower(n, random.Random(seed), edge_probability)
+
+
+def test_random_grow_corpus_steps():
+    # Pins the probe work of growing the random-grow corpus: probing every
+    # far-apart pair spends 2,082,770 steps.
+    budget = SearchBudget(10**9)
+    spec = CorpusSpec("random", 1, 40, seed=20260822, target_count=100)
+    assert sum(1 for _ in generate_corpus(spec, budget)) == 100
+    assert 10**9 - budget.remaining == 1062904
 
 
 def test_corpus_spec_validation():
@@ -165,8 +207,9 @@ def test_random_corpus_edge_probability_plumbs_through():
 
 
 def test_truncation_on_tiny_budgets():
-    # A one-step budget lets through the graphs with no block of seven
-    # vertices, which need no search, and dies on the first one that does.
+    # A one-step budget lets through the graphs with no non-bipartite block
+    # of seven vertices, which need no search, and dies on the first one
+    # that does.
     spec = CorpusSpec(mode="exhaustive", n_min=7, n_max=7)
     stream = generate_corpus(spec, budget=SearchBudget(1))
     assert len(list(stream)) < GIRTH5_COUNTS[7]

@@ -8,6 +8,7 @@ from pentagraph import (
     InducedPath,
     InvariantViolation,
     Jump,
+    PENTAGRAPH,
     SearchBudget,
     SearchBudgetExceeded,
     contains_induced,
@@ -19,8 +20,10 @@ from pentagraph import (
     is_linked,
     is_odd_linked,
     make_graph,
+    recognize,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
+from pentagraph.graph import girth, is_bipartite
 from pentagraph.generate import enumerate_girth5
 from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_steps
 
@@ -294,6 +297,52 @@ def test_glued_blocks_cost_no_more_than_each_block():
     assert 10**6 - glued.remaining <= 2 * (10**6 - lone.remaining)
 
 
+def heawood():
+    """The Heawood graph, LCF [5, -5]^7: 14 vertices, bipartite, girth 6."""
+    edges = [(i, (i + 1) % 14) for i in range(14)]
+    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return make_graph(14, edges)
+
+
+def test_bipartite_input_costs_no_search_steps():
+    # No odd cycle lies in a bipartite block, so the hole searches skip it
+    # without a step. A search of the whole Heawood graph spends 143 steps
+    # and, on an empty budget, left recognize indeterminate.
+    G = heawood()
+    assert is_bipartite(G) and girth(G) == 6
+    assert find_long_odd_hole(G, SearchBudget(0)) is None
+    assert five_holes(G, SearchBudget(0)) == []
+    assert recognize(G, SearchBudget(0)).verdict == PENTAGRAPH
+
+
+CUBE = make_graph(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1])
+
+
+@pytest.mark.parametrize("odd_block", ["c5", "c7", "p1"])
+@pytest.mark.parametrize("even_block", ["c6", "c8", "cube"])
+def test_bipartite_block_glued_to_odd_block(odd_block, even_block):
+    # The odd block keeps labels 0..k-1 and shares its last vertex with
+    # the bipartite block, so the glued graph's answers and steps are the
+    # odd block's alone.
+    H = fixture(odd_block)
+    E = {"c6": cycle(6), "c8": cycle(8), "cube": CUBE}[even_block]
+    k = H.n
+    edges = H.edges() + [(u + k - 1, v + k - 1) for u, v in E.edges()]
+    G = make_graph(k - 1 + E.n, edges)
+    assert is_bipartite(E) and not is_bipartite(H)
+    cycles = o_induced_cycle_masks(G)
+    holes = five_holes(G)
+    assert sorted(h.mask() for h in holes) == sorted(m for size, m in cycles if size == 5)
+    long_odd = {m for size, m in cycles if size % 2 and size >= 7}
+    alone, glued = SearchBudget(10**6), SearchBudget(10**6)
+    hole = find_long_odd_hole(G, glued)
+    assert (hole is None) == (not long_odd)
+    assert hole is None or hole.mask() in long_odd
+    assert hole == find_long_odd_hole(H, alone)
+    assert glued.remaining == alone.remaining
+    assert holes == five_holes(H)
+
+
 def test_linkedness_matches_oracle():
     rng = make_rng("linked")
     for _ in range(80):
@@ -358,14 +407,16 @@ def test_find_jumps_skips_nonlocal_paths():
     ]
 
 
-def test_jump_validate_rejects_nonlocal_and_mislabelled_paths():
+def test_jump_validate_rejects_nonlocal_paths_and_derives_kind():
     S = star_gadget()
     C = Hole((0, 1, 3, 4, 9))
     path = InducedPath((1, 6, 7, 8, 2, 5, 4))
     with pytest.raises(InvariantViolation, match="touches a hole vertex"):
-        Jump(path, C, 3, "local").validate(S)
-    with pytest.raises(InvariantViolation, match="is not local"):
-        Jump(InducedPath((0, 2, 5, 4)), C, 9, "local").validate(S)
+        Jump(path, C, 3).validate(S)
+    # The kind follows from the length and cannot be mislabelled.
+    short = Jump(InducedPath((0, 2, 5, 4)), C, 9)
+    short.validate(S)
+    assert short.kind == "short" and Jump(path, C, 3).kind == "local"
 
 
 def test_jump_steps_on_random_grow_graphs(random_pentagraphs_40):
