@@ -370,8 +370,6 @@ def revalidate_outcome(
     Raises InvariantViolation when the certificate does not hold on G,
     including for none_found, which certifies nothing.
     """
-    if budget is None:
-        budget = SearchBudget.fresh()
     v = outcome.variant
     if v == "bipartite":
         col = outcome.two_coloring

@@ -97,44 +97,34 @@ def enumerate_girth5(n: int) -> Iterator[Graph]:
     """Stream every labeled girth-at-least-five graph on n vertices, each
     exactly once.
 
-    Depth-first over the candidate edges in lexicographic order, exclude
-    branch first, so the stream is deterministic and starts at the empty
-    graph. Iterative stack walk, so the per-graph overhead stays flat.
+    The order is that of a depth-first walk over the candidate edges in
+    lexicographic order, exclude branch first, so the stream is
+    deterministic and starts at the empty graph. Each graph is the
+    successor of the one before: scanning down from the last candidate,
+    drop every included edge met, and add the first excluded one whose
+    ends are at distance at least four. The scan is a loop, not a
+    recursion, whose depth would be the candidate count.
     """
     if n < 0:
         raise ContractViolation("vertex count must be nonnegative")
     cand = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(cand)
     adj = [0] * n
-    if m == 0:
-        yield Graph(n, tuple(adj))
-        return
-    # Frame modes: 0 = first visit (exclude branch), 1 = include branch,
-    # 2 = undo the include on unwind.
-    stack = [(0, 0)]
-    while stack:
-        i, mode = stack.pop()
-        if mode == 2:
-            u, v = cand[i]
+    included = []  # indices of the candidates in the graph, ascending
+    yield Graph(n, tuple(adj))
+    i = len(cand) - 1
+    while i >= 0:
+        u, v = cand[i]
+        if included and included[-1] == i:
+            included.pop()
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            continue
-        if mode == 0:
-            stack.append((i, 1))
-            if i + 1 == m:
-                yield Graph(n, tuple(adj))
-            else:
-                stack.append((i + 1, 0))
-            continue
-        u, v = cand[i]
-        if _far_apart(adj, u, v):
+        elif _far_apart(adj, u, v):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            stack.append((i, 2))
-            if i + 1 == m:
-                yield Graph(n, tuple(adj))
-            else:
-                stack.append((i + 1, 0))
+            included.append(i)
+            yield Graph(n, tuple(adj))
+            i = len(cand)
+        i -= 1
 
 
 def random_pentagraph(
@@ -158,6 +148,10 @@ def random_pentagraph(
     Neither holds an even path, so the graph is the one that probing every
     far-apart pair gives, for fewer steps.
     """
+    if not 0 <= n <= HARD_MAX_VERTICES:
+        raise ContractViolation(f"vertex count {n} outside [0, {HARD_MAX_VERTICES}]")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ContractViolation("edge_probability must lie in [0, 1]")
     if budget is None:
         budget = SearchBudget.fresh()
     adj = [0] * n

@@ -174,56 +174,47 @@ def blocks(G: Graph) -> list[int]:
 
     A bridge is a 2-vertex block and an isolated vertex lies in none. Two
     blocks share at most one vertex, so every edge, and every cycle, lies
-    in exactly one block. One depth-first search with low points, after
-    Hopcroft and Tarjan ("Efficient algorithms for graph manipulation",
-    CACM 1973), kept on explicit stacks so that a 128-vertex path needs no
-    recursion.
+    in exactly one block. The recursive depth-first search with low points
+    of Hopcroft and Tarjan ("Efficient algorithms for graph manipulation",
+    CACM 1973): one frame per tree edge, so at most 128 deep.
     """
     adj = G.adj
     disc = [0] * G.n  # discovery time, from 1; 0 means unvisited
     low = [0] * G.n
-    seen = 0
     clock = 0
+    pending = []  # visited vertices not yet assigned to a block
     out = []
-    for root in range(G.n):
-        if seen >> root & 1 or not adj[root]:
-            continue
+
+    def visit(v: int, parent: int) -> None:
+        nonlocal clock
         clock += 1
-        disc[root] = low[root] = clock
-        seen |= 1 << root
-        path = [root]  # the tree path from the root: the DFS call stack
-        pending = [root]  # visited vertices not yet assigned to a block
-        while path:
-            v = path[-1]
-            fresh = adj[v] & ~seen
-            if fresh:
-                w = (fresh & -fresh).bit_length() - 1
-                clock += 1
-                disc[w] = low[w] = clock
-                # Every visited neighbour of w other than v is an ancestor,
-                # so w's back edges are known the moment it is entered.
-                for x in iter_bits(adj[w] & seen & ~(1 << v)):
-                    if disc[x] < low[w]:
-                        low[w] = disc[x]
-                seen |= 1 << w
-                path.append(w)
-                pending.append(w)
-                continue
-            path.pop()
-            if not path:
-                continue
-            p = path[-1]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                # p separates v's subtree from the rest: they form a block.
-                mask = 1 << p
-                while True:
-                    x = pending.pop()
-                    mask |= 1 << x
-                    if x == v:
-                        break
-                out.append(mask)
+        disc[v] = lo = clock
+        pending.append(v)
+        rest = adj[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            if not disc[w]:
+                visit(w, v)
+                if low[w] < lo:
+                    lo = low[w]
+                if low[w] >= disc[v]:
+                    # v separates w's subtree from the rest: they form a block.
+                    mask = 1 << v
+                    while True:
+                        x = pending.pop()
+                        mask |= 1 << x
+                        if x == w:
+                            break
+                    out.append(mask)
+            elif w != parent and disc[w] < lo:
+                lo = disc[w]
+        low[v] = lo
+
+    for root in range(G.n):
+        if not disc[root] and adj[root]:
+            visit(root, -1)
     return out
 
 
@@ -332,10 +323,7 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
             continue
         side[s] = 0
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        for x in queue:
             for y in iter_bits(adj[x] & within):
                 if side[y] < 0:
                     side[y] = side[x] ^ 1
@@ -347,19 +335,11 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
 
 
 def _odd_walk(parent: list[int], x: int, y: int) -> tuple[int, ...]:
-    # Join the two root paths at their lowest common ancestor; the edge
-    # (x, y) closes an odd cycle because both ends sit on the same side.
-    px = [x]
-    while parent[px[-1]] >= 0:
-        px.append(parent[px[-1]])
-    py = [y]
-    while parent[py[-1]] >= 0:
-        py.append(parent[py[-1]])
-    on_px = {v: i for i, v in enumerate(px)}
-    j = next(i for i, v in enumerate(py) if v in on_px)
-    meet = py[j]
-    cycle = px[: on_px[meet] + 1] + list(reversed(py[:j]))
-    return tuple(cycle)
+    # x and y share a side, so their root paths are equally long; join them
+    # at their lowest common ancestor, and the edge (x, y) closes the cycle.
+    px, py = path_to(parent, x), path_to(parent, y)
+    k = next(i for i, (a, b) in enumerate(zip(px, py)) if a != b)
+    return tuple(px[k - 1 :][::-1] + py[k:])
 
 
 def shortest_cycle(G: Graph) -> tuple[int, ...] | None:

@@ -44,9 +44,10 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     """Decide membership exactly, or report indeterminate on budget exhaustion.
 
     The class is: girth at least five, and every induced odd cycle has
-    length exactly five. Girth is cheap and checked first, so short-cycle
-    witnesses are preferred; only the long-odd-hole search can exhaust the
-    budget.
+    length exactly five. Girth, one breadth-first search per edge, is
+    checked first, so short-cycle witnesses are preferred. A bipartite
+    graph has no odd cycle, so the long-odd-hole search, the only step
+    that can exhaust the budget, runs only on a graph that is not.
     """
     g = girth(G)
     bip = bool(is_bipartite(G))
@@ -55,10 +56,8 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
         return RecognitionReport(
             NOT_PENTAGRAPH, g, cyc, bip, f"contains a cycle of length {len(cyc)}"
         )
-    if budget is None:
-        budget = SearchBudget.fresh()
     try:
-        hole = find_long_odd_hole(G, budget)
+        hole = None if bip else find_long_odd_hole(G, budget)
     except SearchBudgetExceeded:
         return RecognitionReport(
             INDETERMINATE, g, None, bip, "search budget exhausted before a verdict"

@@ -304,8 +304,6 @@ def is_odd_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) 
     """True when some induced s-t path has odd length >= 5."""
     if s == t or G.has_edge(s, t):
         raise ContractViolation("odd-linkedness is defined for distinct non-adjacent vertices")
-    if budget is None:
-        budget = SearchBudget.fresh()
     found = enumerate_induced_paths(
         G, s, t, G.full_mask(), parity="odd", min_len=5, limit=1, budget=budget
     )
@@ -460,22 +458,17 @@ def contains_induced(
 
 
 def _search_order(pattern: Graph) -> list[int]:
-    """Max-degree seed, then most already-placed neighbors first."""
-    n = pattern.n
-    order = [max(range(n), key=lambda v: (pattern.degree(v), -v))]
-    placed = {order[0]}
-    while len(order) < n:
-        best = None
-        key = None
-        for v in range(n):
-            if v in placed:
-                continue
-            k = (sum(1 for w in placed if pattern.has_edge(v, w)), pattern.degree(v), -v)
-            if key is None or k > key:
-                key = k
-                best = v
-        order.append(best)
-        placed.add(best)
+    """Most already-placed neighbours first, then highest degree, then
+    lowest label; so the first pick is a max-degree vertex."""
+    order = []
+    placed = 0
+    for _ in range(pattern.n):
+        v = max(
+            (v for v in range(pattern.n) if not placed >> v & 1),
+            key=lambda v: ((pattern.adj[v] & placed).bit_count(), pattern.degree(v), -v),
+        )
+        order.append(v)
+        placed |= 1 << v
     return order
 
 

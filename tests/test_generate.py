@@ -1,6 +1,7 @@
 """Corpus generation: exhaustive enumeration, the seeded random grower,
 spec validation, and stream truncation."""
 
+import hashlib
 import random
 
 import pytest
@@ -51,6 +52,16 @@ def test_enumeration_stream_properties():
     assert graphs == list(enumerate_girth5(5))
     assert len(set(g.adj for g in graphs)) == len(graphs)
     assert all(girth(g) >= 5 for g in graphs)
+    # The n = 7 stream is pinned graph by graph, order included.
+    digest = hashlib.sha256()
+    for G in enumerate_girth5(7):
+        digest.update(repr(G.adj).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "8330bfd433964333557cc6e40e7064f808bd1f68d5c0f46c885c0ec666de47b2"
+    )
+    # The stream is lazy: at the vertex cap the first graphs come at once.
+    big = enumerate_girth5(128)
+    assert [next(big).edge_count() for _ in range(3)] == [0, 1, 1]
     with pytest.raises(ContractViolation):
         list(enumerate_girth5(-1))
 
@@ -69,6 +80,13 @@ def test_random_grower_members_and_determinism():
 def test_random_grower_edge_probability_zero():
     G = random_pentagraph(12, make_rng("coin"), edge_probability=0.0)
     assert G.adj == (0,) * 12
+
+
+def test_random_grower_rejects_bad_inputs():
+    for n, p in ((-2, 1.0), (129, 1.0), (130, 1.0), (5, 1.7), (5, -0.1)):
+        with pytest.raises(ContractViolation):
+            random_pentagraph(n, make_rng("bad-input"), edge_probability=p)
+    assert random_pentagraph(0, make_rng("empty")).n == 0
 
 
 def test_random_grower_is_maximal():

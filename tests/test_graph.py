@@ -1,5 +1,8 @@
+import hashlib
+import inspect
 import math
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -26,6 +29,7 @@ from pentagraph import (
     shortest_cycle,
 )
 from pentagraph.fixtures import fixture
+from pentagraph.generate import enumerate_girth5
 from pentagraph.graph import path_to
 
 from conftest import make_rng
@@ -192,11 +196,27 @@ def test_blocks_match_networkx(G):
 
 
 def test_blocks_at_the_vertex_cap():
-    # A 128-vertex path is 127 bridges, found without recursion; a cycle
-    # and two cycles sharing a vertex are one and two blocks.
+    # A 128-vertex path is 127 bridges, found by a recursion one frame per
+    # tree edge deep, so 150 frames above the caller's suffice; a cycle and
+    # two cycles sharing a vertex are one and two blocks.
     path = make_graph(128, [(v, v + 1) for v in range(127)], max_n=128)
-    assert sorted(blocks(path)) == sorted(3 << v for v in range(127))
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    try:
+        sys.setrecursionlimit(depth + 150)
+        found = blocks(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(found) == sorted(3 << v for v in range(127))
     assert_blocks_match_networkx(path)
+    # The block order is pinned over every girth-five graph with n <= 6.
+    digest = hashlib.sha256()
+    for n in range(7):
+        for G in enumerate_girth5(n):
+            digest.update(repr(blocks(G)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "3217f9cd7f355476ad7073aacdecab0abcefc62d0011d8e9da48f497f2ed8f70"
+    )
     ring = make_graph(128, [(v, (v + 1) % 128) for v in range(128)], max_n=128)
     assert blocks(ring) == [(1 << 128) - 1]
     bowtie = make_graph(9, [(v, (v + 1) % 5) for v in range(5)]
