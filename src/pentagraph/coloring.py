@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     bfs,
     bfs_layers,
-    bit_list,
     components,
     components_within,
     induced_subgraph,
@@ -51,13 +50,21 @@ class KempeComponent:
 
 
 def verify_coloring(G: Graph, c: Coloring) -> bool:
-    """True iff proper; raises on assignments that are not total maps into
-    1..k."""
+    """True iff proper, that is, no vertex has a neighbour in its own color
+    class, tested with one mask per class; raises on assignments that are
+    not total maps into 1..k."""
     if len(c.colors) != G.n:
         raise ContractViolation("assignment must cover every vertex exactly once")
-    if any(not 1 <= col <= c.k for col in c.colors):
-        raise ContractViolation(f"colors must lie in 1..{c.k}")
-    return all(c.colors[u] != c.colors[v] for u, v in G.edges())
+    classes: dict[int, int] = {}
+    for v, col in enumerate(c.colors):
+        if not 1 <= col <= c.k:
+            raise ContractViolation(f"colors must lie in 1..{c.k}")
+        classes[col] = classes.get(col, 0) | 1 << v
+    adj = G.adj
+    for v, col in enumerate(c.colors):
+        if adj[v] & classes[col]:
+            return False
+    return True
 
 
 def _class_mask(c: Coloring, colors: tuple[int, ...]) -> int:
@@ -95,23 +102,45 @@ def four_color(G: Graph) -> Coloring:
     """Layered 4-coloring: 2-color each breadth-first layer, palette {1,2}
     on even layers and {3,4} on odd ones.
 
-    Works per component (source = least vertex). A layer inducing a
-    non-bipartite subgraph means the input was not in the class; that
-    raises InvariantViolation with (layer index, odd cycle) as witness.
+    Works per component (source = least vertex), layering each once. One
+    is_bipartite call on the graph of the edges inside layers 2-colors
+    every layer at once; it seeds each layer's vertices in ascending order,
+    as a search per layer would, so the sides are the same. A layer
+    inducing a non-bipartite subgraph means the input was not in the
+    class; then the layers are checked one by one, in (component, layer)
+    order, and the first odd one raises InvariantViolation with (layer
+    index, odd cycle) as witness.
     """
-    out = [0] * G.n
-    for comp in components(G):
-        source = bit_list(comp)[0]
-        for idx, layer in enumerate(bfs_layers(G, source).layers):
-            check = is_bipartite(G, within=layer)
-            if not check:
-                raise InvariantViolation(
-                    f"layer {idx} induces an odd cycle", (idx, check.odd_cycle)
-                )
-            base = 1 if idx % 2 == 0 else 3
-            for v in iter_bits(layer):
-                out[v] = base + check.two_coloring[v]
-    coloring = Coloring(4, tuple(out))
+    adj = G.adj
+    layerings = []
+    left = G.full_mask()  # the vertices of components not yet layered
+    odd = 0  # the vertices of odd layers
+    inner = [0] * G.n
+    while left:
+        layers = bfs_layers(G, (left & -left).bit_length() - 1).layers
+        layerings.append(layers)
+        for idx, layer in enumerate(layers):
+            left ^= layer
+            if idx % 2:
+                odd |= layer
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                inner[v] = adj[v] & layer
+    check = is_bipartite(Graph(G.n, tuple(inner)))
+    if not check:
+        for layers in layerings:
+            for idx, layer in enumerate(layers):
+                one = is_bipartite(G, within=layer)
+                if not one:
+                    raise InvariantViolation(
+                        f"layer {idx} induces an odd cycle", (idx, one.odd_cycle)
+                    )
+    coloring = Coloring(
+        4, tuple(1 + 2 * (odd >> v & 1) + side for v, side in enumerate(check.two_coloring))
+    )
     if not verify_coloring(G, coloring):
         raise InvariantViolation("layered coloring came out improper")
     return coloring

@@ -148,24 +148,33 @@ def components(G: Graph) -> list[int]:
 
 def components_within(G: Graph, allowed: int) -> list[int]:
     """Components of the induced subgraph on ``allowed``, without relabeling."""
-    # Whole frontiers as masks, not bfs(): a component needs only what is
-    # reachable, not distances or parents.
-    adj = G.adj
     out = []
     left = allowed
     while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & allowed & ~comp
+        comp = 0
+        for frontier in _frontiers(G, left & -left, allowed):
             comp |= frontier
         out.append(comp)
         left &= ~comp
     return out
+
+
+def _frontiers(G: Graph, seed: int, allowed: int):
+    """The breadth-first layers from the mask ``seed`` inside ``allowed``, as
+    masks: the seed, then the unseen neighbours of each layer in turn."""
+    # Whole frontiers as masks, not bfs(): components and layers need
+    # neither distances nor parents.
+    adj = G.adj
+    seen = frontier = seed
+    while frontier:
+        yield frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
 
 
 def blocks(G: Graph) -> list[int]:
@@ -277,11 +286,7 @@ class Layering:
 def bfs_layers(G: Graph, source: int) -> Layering:
     if not 0 <= source < G.n:
         raise ContractViolation(f"source {source} not a vertex of the graph")
-    dist, _, order = bfs(G, 1 << source)
-    layers = [0] * (dist[order[-1]] + 1)
-    for v in order:
-        layers[dist[v]] |= 1 << v
-    return Layering(source, tuple(layers))
+    return Layering(source, tuple(_frontiers(G, 1 << source, G.full_mask())))
 
 
 def distance(G: Graph, u: int, v: int):
@@ -313,24 +318,40 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
     (cyclically) are edges and whose length is odd.
     """
     # A search of its own rather than bfs(): it colors as it goes and stops
-    # at the first edge inside one side.
+    # at the first edge inside one side. Each scan takes its uncolored
+    # neighbours as one mask and tests the rest against the scanned
+    # vertex's side as one mask; the least neighbour on that side is the
+    # one a scan neighbour by neighbour would stop at.
     adj = G.adj
     within = G.full_mask() if within is None else within & G.full_mask()
     side = [-1] * G.n
     parent = [-1] * G.n
-    for s in iter_bits(within):
-        if side[s] >= 0:
-            continue
+    left = within  # not yet colored
+    ones = 0  # colored 1
+    while left:
+        s = (left & -left).bit_length() - 1
+        left ^= 1 << s
         side[s] = 0
         queue = [s]
         for x in queue:
-            for y in iter_bits(adj[x] & within):
-                if side[y] < 0:
-                    side[y] = side[x] ^ 1
+            sx = side[x]
+            near = adj[x] & within
+            new = near & left
+            if new:
+                left ^= new
+                if not sx:
+                    ones |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    y = low.bit_length() - 1
+                    side[y] = sx ^ 1
                     parent[y] = x
                     queue.append(y)
-                elif side[y] == side[x]:
-                    return BipartiteCheck(None, _odd_walk(parent, x, y))
+            clash = near & ones if sx else near & ~(left | ones)
+            if clash:
+                y = (clash & -clash).bit_length() - 1
+                return BipartiteCheck(None, _odd_walk(parent, x, y))
     return BipartiteCheck(tuple(side), None)
 
 
@@ -388,6 +409,83 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def girth(G: Graph):
-    """Length of a shortest cycle; INFINITY for forests."""
-    c = shortest_cycle(G)
-    return INFINITY if c is None else len(c)
+    """Length of a shortest cycle; INFINITY for forests.
+
+    First the common-neighbour test, one pass over each neighbourhood as
+    masks: an adjacent pair with a common neighbour means girth 3, and
+    failing that, two vertices with two common neighbours mean girth 4.
+    Otherwise the girth is at least five and comes from one breadth-first
+    sweep of whole frontiers per root of the 2-core, where every cycle lies
+    (Itai and Rodeh, "Finding a minimum circuit in a graph", SIAM J.
+    Comput. 1978). An edge inside layer d closes a cycle of length at most
+    2d + 1, and a layer-(d + 1) vertex reached from two layer-d vertices
+    one of at most 2d + 2. From a root on a shortest cycle the first such
+    find is exact, and from any root it is at most the shortest cycle
+    through the root, so a swept root leaves the later sweeps.
+    """
+    adj = G.adj
+    four = False
+    for u in range(G.n):
+        au = adj[u]
+        reached = twice = 0
+        rest = au
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            aw = adj[low.bit_length() - 1]
+            if aw & au:
+                return 3
+            twice |= reached & aw
+            reached |= aw
+        if twice & ~(1 << u):
+            four = True
+    if four:
+        return 4
+    # Peel vertices of degree below two until the 2-core is left.
+    core = G.full_mask()
+    degree = [a.bit_count() for a in adj]
+    thin = [v for v in range(G.n) if degree[v] < 2]
+    while thin:
+        v = thin.pop()
+        core ^= 1 << v
+        rest = adj[v] & core
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            degree[w] -= 1
+            if degree[w] == 1:
+                thin.append(w)
+    best = INFINITY
+    allowed = core
+    for root in iter_bits(core):
+        best = _sweep(adj, allowed, root, best)
+        if best == 5:
+            break
+        allowed ^= 1 << root
+    return best
+
+
+def _sweep(adj, allowed: int, root: int, best):
+    """The shortest closed walk a frontier sweep of ``allowed`` from ``root``
+    finds, if it is shorter than ``best``; otherwise ``best``."""
+    seen = frontier = 1 << root
+    d = 0
+    while frontier and 2 * d + 1 < best:
+        nxt = twice = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = adj[low.bit_length() - 1] & allowed
+            if a & frontier:
+                return 2 * d + 1
+            a &= ~seen
+            twice |= nxt & a
+            nxt |= a
+        if twice:
+            return 2 * d + 2
+        seen |= nxt
+        frontier = nxt
+        d += 1
+    return best

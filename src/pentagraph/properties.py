@@ -14,7 +14,7 @@ from .coloring import four_color
 from .decomposition import decompose, find_p3_cutset, find_star_cutset, revalidate_outcome
 from .errors import InvariantViolation, SearchBudgetExceeded
 from .fixtures import fixture
-from .graph import Graph, mask_of
+from .graph import Graph, girth, mask_of, shortest_cycle
 from .structure import (
     SearchBudget,
     contains_induced,
@@ -106,8 +106,13 @@ def check_local_jump_pairs(G: Graph, budget: SearchBudget | None = None) -> Chec
     a short jump across c exists with interior inside P1* union P2*.
 
     Vacuous on graphs containing the eight-vertex fixture, matching the
-    statement's premise.
+    statement's premise. Of the class, only girth is checked: a graph of
+    girth below five raises InvariantViolation with a shortest cycle as
+    witness, and a long odd hole goes unnoticed.
     """
+    if girth(G) < 5:
+        cycle = shortest_cycle(G)
+        raise InvariantViolation(f"contains a cycle of length {len(cycle)}", cycle)
     if budget is None:
         budget = SearchBudget.fresh()
     try:

@@ -44,10 +44,12 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     """Decide membership exactly, or report indeterminate on budget exhaustion.
 
     The class is: girth at least five, and every induced odd cycle has
-    length exactly five. Girth, one breadth-first search per edge, is
-    checked first, so short-cycle witnesses are preferred. A bipartite
-    graph has no odd cycle, so the long-odd-hole search, the only step
-    that can exhaust the budget, runs only on a graph that is not.
+    length exactly five. Girth is checked first, so short-cycle witnesses
+    are preferred: its common-neighbour test over masks decides "below
+    five", and only then does shortest_cycle, one breadth-first search per
+    edge, build the witness, once. A bipartite graph has no odd cycle, so
+    the long-odd-hole search, the only step that can exhaust the budget,
+    runs only on a graph that is not.
     """
     g = girth(G)
     bip = bool(is_bipartite(G))

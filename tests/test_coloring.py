@@ -5,6 +5,7 @@ chromatic oracle."""
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     Coloring,
@@ -55,6 +56,19 @@ def test_verify_coloring_basics():
         verify_coloring(G, Coloring(3, (1, 2, 1, 2, 4)))
     with pytest.raises(ContractViolation):
         verify_coloring(G, Coloring(3, (0, 2, 1, 2, 3)))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_verify_coloring_matches_edge_definition(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    k = data.draw(st.integers(1, 5))
+    colors = tuple(data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    G = make_graph(n, edges)
+    want = all(colors[u] != colors[v] for u, v in edges)
+    assert verify_coloring(G, Coloring(k, colors)) == want
 
 
 def test_kempe_component_path():
@@ -155,6 +169,18 @@ def test_four_color_rejects_odd_layer():
         four_color(union)
     idx, cyc = err.value.witness
     assert idx == 1 and set(cyc) == {6, 7, 8}
+    # Layer 1 is the triangle 4-5-6 and layer 2 the triangle 1-2-3, whose
+    # labels come first; the first odd layer is still the one named.
+    G = make_graph(
+        7,
+        [(0, 4), (0, 5), (0, 6), (4, 5), (5, 6), (4, 6)]
+        + [(1, 4), (2, 5), (3, 6), (1, 2), (2, 3), (1, 3)],
+    )
+    assert bfs_layers(G, 0).layers == (0b1, 0b1110000, 0b1110)
+    with pytest.raises(InvariantViolation, match="layer 1 induces an odd cycle") as err:
+        four_color(G)
+    idx, cyc = err.value.witness
+    assert idx == 1 and set(cyc) == {4, 5, 6}
 
 
 def test_petersen_coloring_constant():

@@ -295,11 +295,53 @@ def test_shortest_cycle_examples():
     assert girth(fixture("petersen")) == 5
 
 
-def test_girth_matches_oracle():
+def heawood():
+    """The Heawood graph, LCF [5, -5]^7: 14 vertices, bipartite, girth 6."""
+    edges = [(i, (i + 1) % 14) for i in range(14)]
+    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return make_graph(14, edges)
+
+
+def girth_sweep_inputs(rng, members):
+    """Graphs whose girth, if at least five, comes from the per-root sweep,
+    and a few whose only short cycle the common-neighbour test must find."""
+    for _ in range(300):
+        # Random pairs in random order, each kept when it closes no cycle
+        # shorter than five: sparse graphs of girth five or more.
+        n = rng.randrange(5, 17)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        G = make_graph(n, [])
+        for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
+            d = o_distance(G, u, v)
+            if d is None or d >= 4:
+                G = make_graph(n, G.edges() + [(u, v)])
+        yield G
+    yield from members
+    for k in range(5, 129):
+        yield make_graph(k, [(i, (i + 1) % k) for i in range(k)], max_n=128)
+    yield make_graph(128, [(i, i + 1) for i in range(127)], max_n=128)
+    yield fixture("petersen")
+    yield heawood()
+    # A tree on 0..5, bridged from 5 to a 7-cycle on 6..12.
+    tree = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
+    c7 = [(6 + i, 6 + (i + 1) % 7) for i in range(7)]
+    yield make_graph(13, tree + [(5, 6)] + c7)
+    # One triangle or one 4-cycle hung off a graph of girth five or more.
+    P = fixture("petersen")
+    for extra in ([(10, 11), (11, 12), (12, 10)], [(10, 11), (11, 12), (12, 13), (13, 10)]):
+        k = max(max(e) for e in extra) + 1
+        yield make_graph(k, P.edges() + [(9, 10)] + extra)
+    H = heawood()
+    yield make_graph(16, H.edges() + [(0, 14), (14, 15), (15, 0)])
+    yield make_graph(15, H.edges() + [(0, 14), (14, 2)])
+
+
+def test_girth_matches_oracle(random_pentagraphs_20):
     rng = make_rng("girth")
-    for _ in range(200):
-        n = rng.randrange(1, 10)
-        G = rand_graph(rng, n, 0.35)
+    dense = (rand_graph(rng, rng.randrange(1, 10), 0.35) for _ in range(200))
+    sparse = girth_sweep_inputs(rng, random_pentagraphs_20)
+    for G in (*dense, *sparse):
         got = girth(G)
         ref = o_girth(G)
         assert got == (INFINITY if ref is None else ref)

@@ -29,7 +29,7 @@ from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_s
 
 from conftest import make_rng, star_gadget
 from test_decomposition import glue_petersens_at_vertex
-from test_graph import rand_graph
+from test_graph import heawood, rand_graph
 from oracles import (
     o_embeddings,
     o_induced_cycle_masks,
@@ -295,13 +295,6 @@ def test_glued_blocks_cost_no_more_than_each_block():
     glued = SearchBudget(10**6)
     assert find_long_odd_hole(glue_petersens_at_vertex(), glued) is None
     assert 10**6 - glued.remaining <= 2 * (10**6 - lone.remaining)
-
-
-def heawood():
-    """The Heawood graph, LCF [5, -5]^7: 14 vertices, bipartite, girth 6."""
-    edges = [(i, (i + 1) % 14) for i in range(14)]
-    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
-    return make_graph(14, edges)
 
 
 def test_bipartite_input_costs_no_search_steps():
