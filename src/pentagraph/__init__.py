@@ -6,7 +6,6 @@ with certificates, fixtures, serialization, and corpus generation.
 from .coloring import (
     PETERSEN_COLORING,
     Coloring,
-    KempeComponent,
     chromatic_number_bruteforce,
     combine_p3,
     four_color,
@@ -61,7 +60,6 @@ from .graph import (
     INFINITY,
     BipartiteCheck,
     Graph,
-    Layering,
     bfs,
     bfs_layers,
     bit_list,

@@ -284,13 +284,15 @@ def cmd_recognize(args) -> int:
 
 def _search_member(args, command: str, descriptor: str, G: Graph, started: float,
                    search, what: str):
-    """Run ``search(G, budget)`` once recognition accepts G as a member.
+    """Run ``search(G, budget)`` once recognition accepts G as a member;
+    both draw on the one budget of ``--max-steps``.
 
     Returns (None, result), or (exit code, None) after writing a refusal
     report: the recognition for a non-member, or the budget running out
     before the search found a ``what``.
     """
-    rep = recognize(G, _budget(args))
+    budget = _budget(args)
+    rep = recognize(G, budget)
     if rep.verdict != PENTAGRAPH:
         _emit(args, _report(
             args, command, descriptor,
@@ -299,7 +301,7 @@ def _search_member(args, command: str, descriptor: str, G: Graph, started: float
         ))
         return _verdict_exit(rep.verdict), None
     try:
-        return None, search(G, _budget(args))
+        return None, search(G, budget)
     except SearchBudgetExceeded:
         _emit(args, _report(
             args, command, descriptor,

@@ -41,14 +41,6 @@ class Coloring:
     colors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KempeComponent:
-    """A connected component of the subgraph induced on two color classes."""
-
-    colors: tuple[int, int]
-    vertices: int
-
-
 def verify_coloring(G: Graph, c: Coloring) -> bool:
     """True iff proper, that is, no vertex has a neighbour in its own color
     class, tested with one mask per class; raises on assignments that are
@@ -72,8 +64,8 @@ def _class_mask(c: Coloring, colors: tuple[int, ...]) -> int:
     return mask_of(u for u, col in enumerate(c.colors) if col in colors)
 
 
-def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> KempeComponent:
-    """The component of the {a,b}-colored subgraph containing v."""
+def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> int:
+    """The component of the {a,b}-colored subgraph containing v, as a mask."""
     a, b = pair
     if a == b:
         raise ContractViolation("the color pair must be two distinct colors")
@@ -83,15 +75,14 @@ def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> Kem
         raise ContractViolation(f"{v} is not a vertex of the graph")
     if c.colors[v] not in (a, b):
         raise ContractViolation(f"vertex {v} has color {c.colors[v]}, not in {{{a}, {b}}}")
-    comp = next(m for m in components_within(G, _class_mask(c, pair)) if m >> v & 1)
-    return KempeComponent((a, b) if a < b else (b, a), comp)
+    return next(m for m in components_within(G, _class_mask(c, pair)) if m >> v & 1)
 
 
 def kempe_swap(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> Coloring:
     """Exchange the two colors on the component containing v; properness is
     preserved and the operation is an involution."""
     a, b = pair
-    comp = kempe_component(G, c, pair, v).vertices
+    comp = kempe_component(G, c, pair, v)
     out = list(c.colors)
     for u in iter_bits(comp):
         out[u] = a if out[u] == b else b
@@ -117,7 +108,7 @@ def four_color(G: Graph) -> Coloring:
     odd = 0  # the vertices of odd layers
     inner = [0] * G.n
     while left:
-        layers = bfs_layers(G, (left & -left).bit_length() - 1).layers
+        layers = bfs_layers(G, (left & -left).bit_length() - 1)
         layerings.append(layers)
         for idx, layer in enumerate(layers):
             left ^= layer
@@ -174,7 +165,7 @@ def combine_p3(G: Graph, cut: P3Cutset, side_colorings: list[Coloring]) -> Color
             raise ContractViolation("side colorings must be proper with three colors")
         pos = {old: new for new, old in enumerate(old_ids)}
         col = _permute_palette(col, {pos[v1]: 1, pos[v2]: 2})
-        stuck = kempe_component(sub, col, (1, 3), pos[v3]).vertices >> pos[v1] & 1
+        stuck = kempe_component(sub, col, (1, 3), pos[v3]) >> pos[v1] & 1
         sides.append((sub, old_ids, pos, col, bool(stuck)))
 
     stuck_values = {s[3].colors[s[2][v3]] for s in sides if s[4]}
@@ -245,7 +236,7 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
         two_leaves = X & _class_mask(c, (2,))
         swapped = False
         for u in iter_bits(three_leaves):
-            if not kempe_component(Gi, c, (2, 3), u).vertices & two_leaves:
+            if not kempe_component(Gi, c, (2, 3), u) & two_leaves:
                 c = kempe_swap(Gi, c, (2, 3), u)
                 swapped = True
                 break

@@ -2,12 +2,15 @@
 
 Every certificate type here is validated from scratch before it leaves the
 module: a cutset that does not actually disconnect the graph, or a star
-whose leaf pairs miss their even paths, is never returned. Strong parity
-star-cutsets come from one pipeline of three steps: a clique cutset is
-turned into a star directly (``clique_cutset_star``); the builder for one
-5-hole reads candidate centers and leaves off its short-jump structure
-(``_jump_star``); and the star arm (``find_star_cutset``) runs that builder
-on every 5-hole, then one exhaustive sweep bounded only by the budget.
+whose leaf pairs miss their even paths, is never returned. Every strong
+parity star-cutset passes through one step, ``_strong_star``, which
+verifies a candidate and drops its leaves while it stays strong. The
+candidates come from a clique cutset, each of its vertices in turn the
+center (``find_strong_parity_star_cutset``); from the builder for one
+5-hole, which reads centers and leaves off its short-jump structure
+(``_jump_star``); and from one exhaustive sweep bounded only by the
+budget. The star arm (``find_star_cutset``) runs the builder on every
+5-hole, then the sweep.
 """
 
 from __future__ import annotations
@@ -70,9 +73,6 @@ class ParityStarCutset:
 
     def cutset_mask(self) -> int:
         return self.leaves | 1 << self.center
-
-    def leaf_list(self) -> list[int]:
-        return bit_list(self.leaves)
 
 
 @dataclass(frozen=True)
@@ -179,38 +179,25 @@ def verify_parity_star_cutset(
     return ParityStarCutset(center, leaves, qualifying[0], False, tuple(comps))
 
 
-def _minimize_star(G: Graph, cert: ParityStarCutset, budget: SearchBudget) -> ParityStarCutset:
-    # Drop leaves while the certificate stays valid and strong. A leaf with
-    # no neighbor in some component is always droppable, so at the fixpoint
-    # every leaf attaches to every component; the even-path invariant the
-    # coloring recursion relies on follows from that.
-    changed = True
-    while changed:
-        changed = False
-        for leaf in cert.leaf_list():
-            smaller = verify_parity_star_cutset(G, cert.center, cert.leaves & ~(1 << leaf), budget)
-            if smaller is not None and smaller.strong:
-                cert = smaller
-                changed = True
-                break
-    return cert
-
-
-def clique_cutset_star(
-    G: Graph, clique: tuple[int, ...], budget: SearchBudget
+def _strong_star(
+    G: Graph, center: int, leaves: int, budget: SearchBudget
 ) -> ParityStarCutset | None:
-    """The strong star a clique cutset yields, verified and leaf-minimal.
+    """The star {center} plus ``leaves`` verified as strong, less every leaf
+    it can drop and stay strong, lowest leaf first; None unless it is
+    strong.
 
-    Each clique vertex in turn is the center and the rest are its leaves:
-    a cut vertex has no leaves, a cut edge one. None when no candidate
-    verifies as strong, which takes a disconnected graph.
+    A leaf with no neighbor in some component is always droppable, so
+    every leaf of the result attaches to every component; the even-path
+    invariant the coloring recursion relies on follows from that.
     """
-    for center in clique:
-        leaves = mask_of(clique) & ~(1 << center)
-        cert = verify_parity_star_cutset(G, center, leaves, budget)
-        if cert is not None and cert.strong:
-            return _minimize_star(G, cert, budget)
-    return None
+    cert = verify_parity_star_cutset(G, center, leaves, budget)
+    if cert is None or not cert.strong:
+        return None
+    for leaf in bit_list(leaves):
+        smaller = _strong_star(G, center, leaves & ~(1 << leaf), budget)
+        if smaller is not None:
+            return smaller
+    return cert
 
 
 # Centers with more neighbors than this are tried last: their leaf subsets
@@ -234,9 +221,9 @@ def bruteforce_star_search(
         for size in range(len(nbrs) + 1):
             for combo in combinations(nbrs, size):
                 budget.spend()
-                cert = verify_parity_star_cutset(G, x, mask_of(combo), budget)
-                if cert is not None and cert.strong:
-                    return _minimize_star(G, cert, budget)
+                cert = _strong_star(G, x, mask_of(combo), budget)
+                if cert is not None:
+                    return cert
     return None
 
 
@@ -248,12 +235,15 @@ def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | No
     interiors next to the quiet side, and each candidate is validated from
     scratch. None when no candidate verifies as strong.
     """
-    shorts: dict[int, list] = {c: [] for c in C.vertices}
+    # The interiors of the short jumps across each hole vertex; a short
+    # jump has two interior vertices, so an entry is nonzero exactly when
+    # such a jump exists.
+    shorts = dict.fromkeys(C.vertices, 0)
     locals_: dict[int, list] = {c: [] for c in C.vertices}
     short_interiors = 0
     for j in find_jumps(G, C, budget=budget):
         if j.kind == "short":
-            shorts[j.across].append(j)
+            shorts[j.across] |= j.path.interior_mask()
             short_interiors |= j.path.interior_mask()
         locals_[j.across].append(j)
 
@@ -273,22 +263,16 @@ def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | No
             j.path.interior_mask() & short_interiors == 0 for j in locals_[c3] + locals_[c5]
         ):
             continue
-        across_c2 = 0
-        for j in shorts[c2]:
-            across_c2 |= j.path.interior_mask()
-        across_c1 = 0
-        for j in shorts[c1]:
-            across_c1 |= j.path.interior_mask()
-        x3 = G.adj[c3] & across_c2
-        x5 = G.adj[c5] & across_c1
+        x3 = G.adj[c3] & shorts[c2]
+        x5 = G.adj[c5] & shorts[c1]
         for center, leaves in ((c3, x3 | 1 << c4), (c5, x5 | 1 << c4)):
             key = (center, leaves)
             if key in tried:
                 continue
             tried.add(key)
-            cert = verify_parity_star_cutset(G, center, leaves, budget)
-            if cert is not None and cert.strong:
-                return _minimize_star(G, cert, budget)
+            cert = _strong_star(G, center, leaves, budget)
+            if cert is not None:
+                return cert
     return None
 
 
@@ -315,9 +299,11 @@ def find_strong_parity_star_cutset(
     C.validate(G)
     if budget is None:
         budget = SearchBudget.fresh()
+    # Each vertex of a clique cutset in turn is the center and the rest are
+    # its leaves: a cut vertex has no leaves, a cut edge one.
     clique = find_clique_cutset(G)
-    if clique is not None:
-        cert = clique_cutset_star(G, clique, budget)
+    for center in clique or ():
+        cert = _strong_star(G, center, mask_of(clique) & ~(1 << center), budget)
         if cert is not None:
             return cert
     cert = _jump_star(G, C, budget)

@@ -74,23 +74,18 @@ class CorpusSpec:
             raise ContractViolation("seed must fit in 64 bits")
 
 
-def _ball3(adj: list[int], u: int) -> int:
-    """Vertices within distance three of u, as a mask."""
+def _far_apart(adj: list[int], u: int, v: int) -> bool:
+    """True iff dist(u, v) >= 4, so the edge uv closes no cycle below 5."""
     # Kept apart from graph.bfs and components_within: it runs on the
     # enumerator's mutable rows, not a Graph, once per candidate edge in its
     # innermost loop, and stops at depth 3.
-    m = 1 << u | adj[u]
+    ball = 1 << u | adj[u]
     for _ in range(2):
         grow = 0
-        for w in iter_bits(m):
+        for w in iter_bits(ball):
             grow |= adj[w]
-        m |= grow
-    return m
-
-
-def _far_apart(adj: list[int], u: int, v: int) -> bool:
-    """True iff dist(u, v) >= 4, so the edge uv closes no cycle below 5."""
-    return not _ball3(adj, u) >> v & 1
+        ball |= grow
+    return not ball >> v & 1
 
 
 def enumerate_girth5(n: int) -> Iterator[Graph]:

@@ -274,19 +274,12 @@ def path_to(parent: list[int], v: int) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
-class Layering:
-    """BFS distance classes from ``source``; ``layers[k]`` is the bitmask of
+def bfs_layers(G: Graph, source: int) -> tuple[int, ...]:
+    """BFS distance classes from ``source``: entry k is the bitmask of the
     vertices at distance exactly k. Only the source's component appears."""
-
-    source: int
-    layers: tuple[int, ...]
-
-
-def bfs_layers(G: Graph, source: int) -> Layering:
     if not 0 <= source < G.n:
         raise ContractViolation(f"source {source} not a vertex of the graph")
-    return Layering(source, tuple(_frontiers(G, 1 << source, G.full_mask())))
+    return tuple(_frontiers(G, 1 << source, G.full_mask()))
 
 
 def distance(G: Graph, u: int, v: int):

@@ -18,7 +18,9 @@ DEFAULT_MAX_STEPS = 10_000_000
 
 def default_max_steps() -> int:
     """Step allowance for one query; PENTA_MAX_STEPS overrides."""
-    raw = os.environ.get("PENTA_MAX_STEPS", "")
+    raw = os.environ.get("PENTA_MAX_STEPS")
+    if not raw:
+        return DEFAULT_MAX_STEPS
     try:
         value = int(raw)
     except ValueError:

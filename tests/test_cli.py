@@ -13,16 +13,17 @@ import pytest
 from pentagraph import (
     Coloring,
     NoDecompositionFound,
+    decompose,
     SearchBudgetExceeded,
     cli,
     make_graph,
     verify_coloring,
 )
 from pentagraph.cli import main
-from pentagraph.fixtures import fixture, petersen
+from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.formats import parse_graph6, write_graph6
 
-from test_decomposition import glue_petersens_at_vertex
+from test_decomposition import STAR_ARM_G6, glue_petersens_at_vertex, glue_petersens_on_path
 
 
 def run(argv, capsys, monkeypatch=None, stdin=None):
@@ -120,6 +121,16 @@ def test_color_commands(capsys, monkeypatch):
     assert code == 2 and rep["outcome"]["refused"] is True
     assert rep["budget"]["exhausted"] is True
 
+    # Recognition and the search share one budget: recognizing Petersen
+    # takes 52 steps and three_color 10 more.
+    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "52"], capsys)
+    rep = report(out)
+    assert code == 2
+    assert rep["outcome"] == {"refused": True, "reason": "budget exhausted before a coloring"}
+    assert rep["budget"] == {"max_steps": 52, "exhausted": True}
+    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "62"], capsys)
+    assert code == 0 and report(out)["outcome"]["verified"] is True
+
 
 def test_color3_library_failure_is_internal_error(capsys, monkeypatch):
     # A recognized member that the colorer cannot decompose is a library
@@ -166,7 +177,7 @@ def test_color_dot_emission(capsys, tmp_path):
     assert path.read_text().startswith("graph {")
 
 
-def test_decompose_command(capsys):
+def test_decompose_command(capsys, tmp_path):
     code, out, _ = run(["decompose", "fixture:petersen"], capsys)
     rep = report(out)
     assert code == 0
@@ -181,6 +192,34 @@ def test_decompose_command(capsys):
 
     code, out, _ = run(["decompose", "fixture:c7"], capsys)
     assert code == 1 and report(out)["outcome"]["refused"] is True
+
+    c6 = tmp_path / "c6.g6"
+    c6.write_text(write_graph6(cycle(6)) + "\n")
+    glued = tmp_path / "glued.g6"
+    glued.write_text(write_graph6(glue_petersens_at_vertex()) + "\n")
+    for path, outcome in (
+        (c6, {"variant": "bipartite", "two_coloring": [1, 2, 1, 2, 1, 2]}),
+        (glued, {"variant": "clique_cut", "clique": [9]}),
+    ):
+        code, out, _ = run(["decompose", str(path)], capsys)
+        assert code == 0
+        assert report(out)["outcome"] == outcome
+
+
+def test_outcome_payloads_for_cut_paths_and_stars():
+    # Both graphs are off-class, so the command refuses them; their
+    # payloads are checked directly.
+    assert cli._ser_outcome(decompose(glue_petersens_on_path())) == {
+        "variant": "p3",
+        "p3": {"path": [0, 1, 2], "sides": [list(range(3, 10)), list(range(10, 17))]},
+    }
+    assert cli._ser_outcome(decompose(parse_graph6(STAR_ARM_G6))) == {
+        "variant": "star",
+        "star": {
+            "center": 6, "leaves": [0, 2, 5], "witness_component": [1],
+            "strong": True, "components": [[1], [3, 4, 7]],
+        },
+    }
 
 
 def test_corpus_exhaustive(capsys, tmp_path):
@@ -280,15 +319,20 @@ def test_verify_reports_off_class_lines(capsys, tmp_path):
     # cutset for it and fails that line. Then C5 plus the even path
     # 1-5-6-7-4: t31's jump scan raises InvariantViolation, which fails that
     # line with the jump's vertices as witness instead of aborting the run.
+    # Last, a graph with a triangle: t31 fails it on girth alone.
     t25 = tmp_path / "t25.g6"
     t25.write_text("GhDGKc\nHhDGKea\n")
     t31 = tmp_path / "t31.g6"
     t31.write_text("GhDGKc\nGhd?GS\n")
+    triangle = tmp_path / "triangle.g6"
+    triangle.write_text("GhDGKc\nFqdr?\n")
     cases = (
         ("t25", t25, "HhDGKea", "no qualifying cutset and not a reference graph", None),
         ("t31", t31, "Ghd?GS",
          "input outside the class: even local jump; input has a short or long odd hole",
          [1, 5, 6, 7, 4]),
+        ("t31", triangle, "Fqdr?", "input outside the class: contains a cycle of length 3",
+         [1, 3, 5]),
     )
     for which, corpus, line, detail, witness in cases:
         for jobs in ("1", "2"):

@@ -74,12 +74,9 @@ def test_verify_coloring_matches_edge_definition(data):
 def test_kempe_component_path():
     G = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     c = Coloring(3, (1, 2, 1, 2))
-    comp = kempe_component(G, c, (1, 2), 0)
-    assert comp.vertices == mask_of(range(4))
-    # The color pair is stored sorted regardless of argument order.
-    assert kempe_component(G, c, (2, 1), 0).colors == (1, 2)
+    assert kempe_component(G, c, (1, 2), 0) == mask_of(range(4))
     # Color 3 is unused, so the {1,3}-component of 0 is 0 alone.
-    assert kempe_component(G, c, (1, 3), 0).vertices == 1
+    assert kempe_component(G, c, (1, 3), 0) == 1
     with pytest.raises(ContractViolation):
         kempe_component(G, c, (2, 2), 0)
     with pytest.raises(ContractViolation):
@@ -126,10 +123,7 @@ def test_kempe_swap_random_properness_and_involution(random_pentagraphs_20):
             swapped = kempe_swap(G, c, pair, v)
             assert verify_coloring(G, swapped)
             # Same component before and after, and the swap undoes itself.
-            assert (
-                kempe_component(G, swapped, pair, v).vertices
-                == kempe_component(G, c, pair, v).vertices
-            )
+            assert kempe_component(G, swapped, pair, v) == kempe_component(G, c, pair, v)
             assert kempe_swap(G, swapped, pair, v) == c
             c = swapped
 
@@ -148,8 +142,7 @@ def test_four_color_members_layerwise(random_pentagraphs_20):
         assert col.k == 4
         assert verify_coloring(G, col)
         for comp in components(G):
-            layering = bfs_layers(G, bit_list(comp)[0])
-            for idx, layer in enumerate(layering.layers):
+            for idx, layer in enumerate(bfs_layers(G, bit_list(comp)[0])):
                 allowed = (1, 2) if idx % 2 == 0 else (3, 4)
                 assert all(col.colors[v] in allowed for v in iter_bits(layer))
 
@@ -176,7 +169,7 @@ def test_four_color_rejects_odd_layer():
         [(0, 4), (0, 5), (0, 6), (4, 5), (5, 6), (4, 6)]
         + [(1, 4), (2, 5), (3, 6), (1, 2), (2, 3), (1, 3)],
     )
-    assert bfs_layers(G, 0).layers == (0b1, 0b1110000, 0b1110)
+    assert bfs_layers(G, 0) == (0b1, 0b1110000, 0b1110)
     with pytest.raises(InvariantViolation, match="layer 1 induces an odd cycle") as err:
         four_color(G)
     idx, cyc = err.value.witness

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from pentagraph import (
     SearchBudgetExceeded,
     bruteforce_star_search,
     decompose,
+    distance,
     find_clique_cutset,
     find_low_degree,
     find_p3_cutset,
@@ -141,7 +144,7 @@ def test_verify_parity_star_cutset():
     cert = verify_parity_star_cutset(S, 0, mask_of([1, 2]))
     assert cert is not None and cert.strong
     assert cert.center == 0
-    assert cert.leaf_list() == [1, 2]
+    assert cert.leaves == mask_of([1, 2])
     assert cert.witness_component == mask_of([3, 4, 5, 9])
     assert cert.components == (mask_of([3, 4, 5, 9]), mask_of([6, 7, 8]))
     assert cert.cutset_mask() == mask_of([0, 1, 2])
@@ -247,6 +250,71 @@ def test_no_star_cutset_in_petersen():
         find_strong_parity_star_cutset(P, Hole((0, 1, 2, 3, 4, 5)))
     with pytest.raises(SearchBudgetExceeded):
         find_strong_parity_star_cutset(P, hole, budget=SearchBudget(2))
+
+
+def test_jump_star_drops_short_jump_leaves():
+    # A member whose first candidate is center 2 with leaves {8, 9}, 9 a
+    # short-jump interior vertex; both leaves drop.
+    G = parse_graph6("IHB?GEgG_")
+    budget = SearchBudget(10**6)
+    cert = decomposition._jump_star(G, Hole((0, 5, 1, 2, 8)), budget)
+    assert cert == ParityStarCutset(2, 0, 1011, True, (1011, 8))
+    assert budget.remaining == 10**6 - 16
+
+
+def test_find_star_cutset_answers_from_the_builder():
+    G = parse_graph6("GM?PW_")
+    assert five_holes(G) == [Hole((1, 2, 6, 5, 3))]
+    budget = SearchBudget(10**6)
+    cert = decomposition.find_star_cutset(G, budget)
+    assert cert == ParityStarCutset(6, 0, 175, True, (175, 16))
+    assert budget.remaining == 10**6 - 8
+
+
+def star_search_graph(rng):
+    """A random graph on 6..13 vertices: mostly of girth at least five
+    (edges added in random order while their ends are at distance >= 4),
+    else G(n, p) with triangles."""
+    n = rng.randint(6, 13)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if rng.random() < 0.3:
+        p = rng.uniform(0.15, 0.45)
+        return make_graph(n, [e for e in pairs if rng.random() < p])
+    rng.shuffle(pairs)
+    edges = []
+    target = rng.randint(n, 2 * n)
+    for u, v in pairs:
+        if len(edges) < target and distance(make_graph(n, edges), u, v) >= 4:
+            edges.append((u, v))
+    return make_graph(n, edges)
+
+
+def test_star_pipeline_is_pinned():
+    # Every certificate of the star searches and the budget each leaves,
+    # tight budgets included: the order of their verifications is fixed,
+    # not just their answers.
+    rng = make_rng("star-pipeline")
+    digest = hashlib.sha256()
+
+    def record(search, *args):
+        budget = SearchBudget(rng.choice((rng.randint(1, 80), 10**6)))
+        try:
+            result = search(*args, budget)
+        except (SearchBudgetExceeded, InvariantViolation) as e:
+            result = type(e).__name__
+        digest.update(f"{result!r} {budget.remaining}\n".encode())
+
+    for _ in range(300):
+        G = star_search_graph(rng)
+        record(bruteforce_star_search, G)
+        record(decomposition.find_star_cutset, G)
+        for hole in five_holes(G)[:3]:
+            record(decomposition._jump_star, G, hole)
+            record(find_strong_parity_star_cutset, G, hole)
+        record(decompose, G)
+    assert digest.hexdigest() == (
+        "f11c311c0edab1ca9956b7bfebd0f264bc4253737704fbd70d65d18c5f72c9b4"
+    )
 
 
 def test_bruteforce_star_cap():

@@ -127,7 +127,7 @@ def test_distance_and_layers_match_oracle():
         G = rand_graph(rng, n, 0.3)
         for u in range(n):
             lay = bfs_layers(G, u)
-            for k, mask in enumerate(lay.layers):
+            for k, mask in enumerate(lay):
                 for v in bits(mask):
                     assert o_distance(G, u, v) == k
             for v in range(n):

@@ -22,6 +22,7 @@ from pentagraph import (
     make_graph,
     recognize,
 )
+from pentagraph import structure
 from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.graph import girth, is_bipartite
 from pentagraph.generate import enumerate_girth5
@@ -63,7 +64,15 @@ def test_default_max_steps_env(monkeypatch):
     for raw in ("bogus", "0", "-7"):
         monkeypatch.setenv("PENTA_MAX_STEPS", raw)
         assert default_max_steps() == DEFAULT_MAX_STEPS
+    # SearchBudget.fresh() runs on every query, so an unset or empty
+    # variable returns the built-in allowance without calling int().
+    def no_parse(raw):
+        raise AssertionError(f"int({raw!r}) called")
+
+    monkeypatch.setattr(structure, "int", no_parse, raising=False)
     monkeypatch.delenv("PENTA_MAX_STEPS")
+    assert default_max_steps() == DEFAULT_MAX_STEPS
+    monkeypatch.setenv("PENTA_MAX_STEPS", "")
     assert default_max_steps() == DEFAULT_MAX_STEPS
 
 
