@@ -412,7 +412,7 @@ def cmd_verify(args) -> int:
         # Imported here: loading multiprocessing costs every other command.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_verify_one, tasks, chunksize=16))
     else:
         results = [_verify_one(t) for t in tasks]

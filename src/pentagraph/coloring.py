@@ -1,14 +1,14 @@
 """Certified colorings: the layered 4-coloring, the recursive 3-coloring
 with Kempe-exchange recombination, and a brute-force oracle.
 
-The 3-coloring recursion merges the sides of a cut one way: each side is
-colored together with the cut, fitted to the cut and copied back, and the
-merged coloring is verified. A disconnected graph is the empty cut with
-its components as sides; clique and star cutsets differ only in how a side
-is fitted. Both top-level colorers verify properness before returning.
-Recombination steps that would only fail on inputs outside the class raise
-InvariantViolation carrying the offending structure instead of returning a
-bad coloring.
+The 3-coloring recursion colors vertex sets of the input graph into one
+array, one component at a time, and copies a subgraph only to cut a
+component that is neither bipartite nor has a vertex of degree at most two.
+The sides of a clique or star cutset are each colored with the cut and
+fitted to it, and the merged coloring is verified. Both top-level colorers
+verify properness before returning. Recombination steps that would only
+fail on inputs outside the class raise InvariantViolation carrying the
+offending structure instead of returning a bad coloring.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .graph import (
     Graph,
     bfs,
     bfs_layers,
-    components,
+    bit_list,
     components_within,
     induced_subgraph,
     is_bipartite,
@@ -67,8 +67,8 @@ def _class_mask(c: Coloring, colors: tuple[int, ...]) -> int:
 def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> int:
     """The component of the {a,b}-colored subgraph containing v, as a mask."""
     a, b = pair
-    if a == b:
-        raise ContractViolation("the color pair must be two distinct colors")
+    if a == b or not (1 <= a <= c.k and 1 <= b <= c.k):
+        raise ContractViolation(f"the color pair must be two distinct colors in 1..{c.k}")
     if len(c.colors) != G.n:
         raise ContractViolation("the coloring must cover every vertex exactly once")
     if not 0 <= v < G.n:
@@ -264,93 +264,89 @@ def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     """Proper 3-coloring by recursive decomposition.
 
-    A connected graph is split by decompose(): bipartite and the ten-vertex
-    base case are colored directly, a low-degree vertex is deleted and
-    re-inserted, and a cut path recurses on its sides and recombines with
-    combine_p3. Every other split is one merge: each side is colored
-    together with the cut one level down, fitted to the cut, and copied
-    back. A disconnected graph is split at the empty cut, its components
-    being the sides, which need no fitting; a clique cutset fits its sides
-    by palette permutation, a star cutset by normalize_on_star. Raises
+    Fills one color array indexed by G's vertices, one component of a
+    vertex set at a time. A bipartite component gets its 2-coloring. One
+    with a vertex of degree at most two inside it is colored without its
+    least such vertex, which then takes the least color its neighbours
+    leave free. Any other component is copied once and cut by decompose():
+    the ten-vertex base case is colored directly, a cut path colors its
+    sides and recombines them with combine_p3, and a clique or star cutset
+    colors each side together with the cut and fits it to the cut, by
+    palette permutation or by normalize_on_star. Raises
     NoDecompositionFound when decompose finds nothing, which only happens
     off-class.
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    result = _color_any(G, budget, G.n + 2)
+    result = _color(G, G.full_mask(), [0] * G.n, budget, G.n + 2)
     if not verify_coloring(G, result):
         raise InvariantViolation("three-coloring came out improper")
     return result
 
 
-def _color_any(G: Graph, budget: SearchBudget, depth: int, split: bool = True) -> Coloring:
-    """Color G; ``split`` False says G is known to be connected."""
+def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> Coloring:
+    """Color G[keep] into ``out`` and return ``out`` read over ``keep`` in
+    ascending order. Relabelling keeps vertex order, so that is the coloring
+    of the relabelled copy of G[keep]."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
-    if split:
-        comps = components(G)
-        if len(comps) > 1:
-            return _merge_sides(G, 0, comps, budget, depth, lambda sub, col, old_ids: col)
+    adj = G.adj
+    for comp in components_within(G, keep):
+        check = is_bipartite(G, within=comp)
+        if check:
+            for v in iter_bits(comp):
+                out[v] = check.two_coloring[v] + 1
+            continue
+        low = next((v for v in iter_bits(comp) if (adj[v] & comp).bit_count() <= 2), None)
+        if low is not None:
+            _color(G, comp & ~(1 << low), out, budget, depth - 1)
+            forbidden = {out[u] for u in iter_bits(adj[low] & comp)}
+            out[low] = min(c for c in (1, 2, 3) if c not in forbidden)
+            continue
+        sub, old_ids = induced_subgraph(G, comp)
+        for old, col in zip(old_ids, _color_cut(sub, budget, depth - 1)):
+            out[old] = col
+    return Coloring(3, tuple(out[v] for v in iter_bits(keep)))
+
+
+def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:
+    """Color a connected G that is neither bipartite nor has a vertex of
+    degree at most two, along the arm decompose() finds. Each side of a
+    clique or star cutset is colored together with the cut, fitted to it
+    and written back, and the merge is verified."""
     outcome = decompose(G, budget)
-    if outcome.variant == "bipartite":
-        return Coloring(3, outcome.two_coloring)
-    if outcome.variant == "low_degree":
-        return _extend_low_degree(G, outcome.vertex, budget, depth)
+    out = [0] * G.n
     if outcome.variant == "petersen":
-        out = [0] * G.n
         for p, host in enumerate(outcome.embedding.mapping):
             out[host] = PETERSEN_COLORING[p]
-        return Coloring(3, tuple(out))
-    if outcome.variant == "clique_cut":
-        clique = outcome.clique
-
-        def to_clique(sub: Graph, col: Coloring, old_ids: tuple[int, ...]) -> Coloring:
-            return _permute_palette(col, {old_ids.index(u): i + 1 for i, u in enumerate(clique)})
-
-        cmask = mask_of(clique)
-        sides = components_within(G, G.full_mask() & ~cmask)
-        return _merge_sides(G, cmask, sides, budget, depth, to_clique)
+        return tuple(out)
     if outcome.variant == "p3":
         cut = outcome.p3
-        subs = (induced_subgraph(G, mask | cut.path_mask())[0] for mask in cut.sides)
-        return combine_p3(G, cut, [_color_any(sub, budget, depth - 1) for sub in subs])
-    if outcome.variant == "star":
+        cols = [_color(G, side | cut.path_mask(), out, budget, depth) for side in cut.sides]
+        return combine_p3(G, cut, cols).colors
+    if outcome.variant == "clique_cut":
+        cut = mask_of(outcome.clique)
+        sides = components_within(G, G.full_mask() & ~cut)
+    elif outcome.variant == "star":
         star = outcome.star
-
-        def to_star(sub: Graph, col: Coloring, old_ids: tuple[int, ...]) -> Coloring:
-            leaves = mask_of(old_ids.index(u) for u in iter_bits(star.leaves))
-            return normalize_on_star(sub, col, old_ids.index(star.center), leaves)
-
-        return _merge_sides(G, star.cutset_mask(), star.components, budget, depth, to_star)
-    raise NoDecompositionFound("no decomposition applies; input is outside the class")
-
-
-def _extend_low_degree(G: Graph, v: int, budget: SearchBudget, depth: int) -> Coloring:
-    sub, old_ids = induced_subgraph(G, G.full_mask() & ~(1 << v))
-    col = _color_any(sub, budget, depth - 1)
-    out = [0] * G.n
-    for new, old in enumerate(old_ids):
-        out[old] = col.colors[new]
-    forbidden = {out[u] for u in iter_bits(G.adj[v])}
-    out[v] = min(c for c in (1, 2, 3) if c not in forbidden)
-    return Coloring(3, tuple(out))
-
-
-def _merge_sides(G: Graph, cut: int, sides, budget: SearchBudget, depth: int, agree) -> Coloring:
-    """Color each G[side | cut] one level down, let ``agree(sub, col,
-    old_ids)`` fit it to the cut, copy it back and verify the merge. Each
-    G[side | cut] is a component, or a component of G - cut together with
-    the connected cut it touches, so it is not split again."""
-    out = [0] * G.n
+        cut = star.cutset_mask()
+        sides = star.components
+    else:
+        raise NoDecompositionFound("no decomposition applies; input is outside the class")
     for side in sides:
-        sub, old_ids = induced_subgraph(G, side | cut)
-        col = agree(sub, _color_any(sub, budget, depth - 1, split=False), old_ids)
-        for new, old in enumerate(old_ids):
-            out[old] = col.colors[new]
-    merged = Coloring(3, tuple(out))
-    if not verify_coloring(G, merged):
+        col = _color(G, side | cut, out, budget, depth)
+        ids = bit_list(side | cut)
+        if outcome.variant == "clique_cut":
+            col = _permute_palette(col, {ids.index(u): i for i, u in enumerate(outcome.clique, 1)})
+        else:
+            leaves = mask_of(ids.index(u) for u in iter_bits(star.leaves))
+            Gi = induced_subgraph(G, side | cut)[0]
+            col = normalize_on_star(Gi, col, ids.index(star.center), leaves)
+        for v, c in zip(ids, col.colors):
+            out[v] = c
+    if not verify_coloring(G, Coloring(3, tuple(out))):
         raise InvariantViolation("merged coloring improper; sides disagree on the cut")
-    return merged
+    return tuple(out)
 
 
 def chromatic_number_bruteforce(G: Graph, k_max: int) -> int | None:

@@ -149,7 +149,7 @@ def components(G: Graph) -> list[int]:
 def components_within(G: Graph, allowed: int) -> list[int]:
     """Components of the induced subgraph on ``allowed``, without relabeling."""
     out = []
-    left = allowed
+    left = allowed = allowed & G.full_mask()
     while left:
         comp = 0
         for frontier in _frontiers(G, left & -left, allowed):

@@ -4,6 +4,7 @@ Exit code contract: 0 in the class or success, 1 not in the class or a
 counterexample, 2 indeterminate under the budget, 3 usage/parse/file
 errors."""
 
+import concurrent.futures
 import io
 import json
 import sys
@@ -289,6 +290,32 @@ def test_verify_command(capsys, tmp_path):
     assert code == 0
     del rep["timing"], rep2["timing"]
     assert rep == rep2
+
+
+def test_verify_starts_no_more_workers_than_lines(capsys, monkeypatch, tmp_path):
+    # A stand-in pool records the worker count it is asked for and maps in
+    # this process.
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    corpus = tmp_path / "two.g6"
+    corpus.write_text(write_graph6(fixture("c5")) + "\n" + write_graph6(petersen()) + "\n")
+    code, out, _ = run(["verify", "t12", str(corpus), "--jobs", "8"], capsys)
+    assert code == 0 and report(out)["outcome"]["passed"] == 2
+    assert asked == [2]
 
 
 def test_verify_counterexample_and_budget(capsys, tmp_path):

@@ -3,6 +3,7 @@ recursive 3-coloring with its recombination steps, and the brute-force
 chromatic oracle."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from pentagraph import (
     make_graph,
     mask_of,
     normalize_on_star,
+    parse_graph6,
     three_color,
     verify_coloring,
     verify_parity_star_cutset,
@@ -43,6 +45,8 @@ from conftest import make_rng, p3_gadget, star_gadget
 from oracles import o_chromatic
 from test_decomposition import glue_petersens_at_vertex, glue_petersens_on_path
 from test_graph import rand_graph
+
+MEMBERS = Path(__file__).resolve().parents[1] / "perfbench" / "members.g6"
 
 
 def test_verify_coloring_basics():
@@ -93,6 +97,8 @@ def test_kempe_component_path():
         lambda: kempe_swap(C5, c5, (1, 2), -1),
         lambda: kempe_swap(C5, c5, (1, 2), 5),
         lambda: kempe_swap(C5, short, (1, 2), 0),
+        lambda: kempe_swap(C5, c5, (1, 5), 1),
+        lambda: kempe_swap(C5, c5, (0, 1), 1),
     ):
         with pytest.raises(ContractViolation):
             bad()
@@ -296,8 +302,10 @@ def test_normalize_on_star_contract_errors():
 
 
 def test_merge_star_colors_the_gadget(monkeypatch):
-    # The gadget has a vertex of degree two, so decompose is made to answer
-    # with the star for the whole graph and the sides merge across it.
+    # The gadget has a vertex of degree two, which three_color would peel
+    # before any cut. So the cut arms are driven directly, decompose is made
+    # to answer with the star for the whole graph, and the sides merge
+    # across it.
     G = star_gadget()
     cert = verify_parity_star_cutset(G, 0, mask_of((1, 2)))
     assert cert is not None and cert.strong
@@ -307,8 +315,7 @@ def test_merge_star_colors_the_gadget(monkeypatch):
         "decompose",
         lambda H, budget: DecompositionOutcome("star", star=cert) if H is G else real(H, budget),
     )
-    col = three_color(G)
-    assert col.k == 3
+    col = Coloring(3, coloring._color_cut(G, SearchBudget.fresh(), G.n))
     assert verify_coloring(G, col)
     assert col.colors[0] == 1 and col.colors[1] == col.colors[2] == 2
 
@@ -370,6 +377,23 @@ def test_three_color_colorings_are_pinned():
         digest.update((",".join(map(str, three_color(G).colors)) + "\n").encode())
     assert digest.hexdigest() == (
         "1c9332600d759d6bd488b280d3be8d4b21945a438f471a7cd2bc2c06e8958d23"
+    )
+
+
+def test_three_color_members_are_pinned():
+    # The benchmark's member corpus reaches decompose's cut arms 167 times:
+    # 134 ten-vertex base cases and 33 clique cuts.
+    lines = [
+        ln for ln in MEMBERS.read_text(encoding="ascii").split("\n")
+        if ln.strip() and not ln.startswith("#")
+    ]
+    assert len(lines) == 128
+    digest = hashlib.sha256()
+    for line in lines:
+        col = three_color(parse_graph6(line), SearchBudget(10**9))
+        digest.update((",".join(map(str, col.colors)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "ae7a7952336febfcc03782de0779c9f185176e890add9ae260bf6079d0251987"
     )
 
 

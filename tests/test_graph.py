@@ -118,6 +118,9 @@ def test_components_ordering():
     assert components(make_graph(0, [])) == []
     assert components_within(G, mask_of([2, 3, 5, 6])) == [mask_of([2, 3]), mask_of([5, 6])]
     assert components_within(G, 0) == []
+    # Masks reaching past the graph are clipped to it.
+    assert components_within(G, 1 << 7) == []
+    assert components_within(G, -1) == components(G)
 
 
 def test_distance_and_layers_match_oracle():
