@@ -21,6 +21,10 @@ a graph with a legal edge left out.
 Parity settles many probes without a search: ends in different
 components are joined by no path, and ends on opposite sides of a
 bipartite component only by odd ones, so neither pair needs a probe.
+The other probes look for the shortest possible witness first, a path of
+six edges, which a search bounded by the distances to the far end finds
+or rules out cheaply; only when there is none does the unbounded search
+run, so every answer is the one the unbounded search alone would give.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ContractViolation, SearchBudgetExceeded
-from .graph import Graph, HARD_MAX_VERTICES, iter_bits
+from .graph import Graph, HARD_MAX_VERTICES
 from .structure import SearchBudget, enumerate_induced_paths, find_long_odd_hole
 
 EXHAUSTIVE_MAX_N = 10
@@ -77,15 +81,17 @@ class CorpusSpec:
 def _far_apart(adj: list[int], u: int, v: int) -> bool:
     """True iff dist(u, v) >= 4, so the edge uv closes no cycle below 5."""
     # Kept apart from graph.bfs and components_within: it runs on the
-    # enumerator's mutable rows, not a Graph, once per candidate edge in its
-    # innermost loop, and stops at depth 3.
+    # enumerator's and the grower's mutable rows, not a Graph, once per
+    # candidate edge in their innermost loops. dist(u, v) <= 3 exactly when
+    # the radius-2 ball around u meets N[v], so one expansion, over N(u),
+    # is enough.
     ball = 1 << u | adj[u]
-    for _ in range(2):
-        grow = 0
-        for w in iter_bits(ball):
-            grow |= adj[w]
-        ball |= grow
-    return not ball >> v & 1
+    rest = adj[u]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ball |= adj[low.bit_length() - 1]
+    return not ball & (1 << v | adj[v])
 
 
 def enumerate_girth5(n: int) -> Iterator[Graph]:
@@ -132,10 +138,12 @@ def random_pentagraph(
 
     Candidate pairs are shuffled once, then each is kept when the coin
     allows, the ends are at distance at least four, and no induced even
-    path of length at least six joins the ends. Every probe is exact and
-    charges ``budget``; running out raises SearchBudgetExceeded instead of
-    skipping the edge, so with the coin at 1.0 the result is maximal under
-    both rules.
+    path of length at least six joins the ends. The probe first asks for a
+    path of exactly six edges, the shortest witness, and runs the unbounded
+    search only when there is none, so it gives the unbounded search's
+    answer. Every probe is exact and charges ``budget``; running out raises
+    SearchBudgetExceeded instead of skipping the edge, so with the coin at
+    1.0 the result is maximal under both rules.
 
     The probe is skipped when the ends lie in different components, where
     no path joins them and they are trivially far apart, or on opposite
@@ -166,17 +174,15 @@ def random_pentagraph(
         if cu == cv:
             if not _far_apart(adj, u, v):
                 continue
-            if (not bipartite[cu] or side[u] == side[v]) and enumerate_induced_paths(
-                Graph(n, tuple(adj)),
-                u,
-                v,
-                full & ~(1 << u) & ~(1 << v),
-                parity="even",
-                min_len=6,
-                limit=1,
-                budget=budget,
-            ):
-                continue
+            if not bipartite[cu] or side[u] == side[v]:
+                G = Graph(n, tuple(adj))
+                rest = full & ~(1 << u) & ~(1 << v)
+                if enumerate_induced_paths(
+                    G, u, v, rest, parity="even", min_len=6, max_len=6, limit=1, budget=budget
+                ) or enumerate_induced_paths(
+                    G, u, v, rest, parity="even", min_len=6, limit=1, budget=budget
+                ):
+                    continue
             bipartite[cu] = bipartite[cu] and side[u] != side[v]
         else:
             flip = side[u] == side[v]

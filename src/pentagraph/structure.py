@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, bit_list, blocks, is_bipartite, iter_bits, mask_of
+from .graph import Graph, _frontiers, bit_list, blocks, is_bipartite, iter_bits, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -144,18 +144,22 @@ def enumerate_induced_paths(
     with ``min_len``/``max_len``, constrains the number of edges. Output
     order is the DFS order, which is fixed by ascending vertex ids; the
     list is exhaustive unless ``limit`` cut it short (detectable by
-    ``len(result) == limit``).
+    ``len(result) == limit``; a ``limit`` below 1 is refused).
 
-    One branch is cut: once the path's last vertex is adjacent to t, the
-    path either ends at t there or not at all, because every longer path
-    through that vertex would have a chord to t. The DFS records the path
-    to t and returns, so a pendant tree hanging off a neighbor of t costs
-    one step, not a walk of the tree. Other dead branches, such as those
-    that cannot reach t inside ``interior_allowed``, are still walked: the
-    search is exact but exponential in the worst case. Chudnovsky, Scott
-    and Seymour show that a long odd hole can be found in polynomial time
-    ("Detecting a long odd hole", Combinatorica 2021); this DFS does not
-    attempt that.
+    Two branches are cut. First, once the path's last vertex is adjacent to
+    t, the path either ends at t there or not at all, because every longer
+    path through that vertex would have a chord to t. The DFS records the
+    path to t and returns, so a pendant tree hanging off a neighbor of t
+    costs one step, not a walk of the tree. Second, with ``max_len`` set,
+    the distances to t inside ``interior_allowed`` are taken once, and a
+    path of k edges goes on only to vertices within ``max_len - k`` of t:
+    the rest of the path lies inside ``interior_allowed`` and is no shorter
+    than that distance, so only subtrees with no path short enough go.
+    Without ``max_len`` other dead branches, such as those that cannot
+    reach t inside ``interior_allowed``, are still walked: the search is
+    exact but exponential in the worst case. Chudnovsky, Scott and Seymour
+    show that a long odd hole can be found in polynomial time ("Detecting a
+    long odd hole", Combinatorica 2021); this DFS does not attempt that.
 
     Each DFS node costs one budget step; exhausting the budget raises
     SearchBudgetExceeded, it never silently returns a partial answer.
@@ -166,11 +170,26 @@ def enumerate_induced_paths(
         raise ContractViolation("path ends must be vertices")
     if parity not in ("any", "even", "odd"):
         raise ContractViolation(f"bad parity {parity!r}")
+    if limit is not None and limit < 1:
+        raise ContractViolation(f"limit must be at least 1, got {limit}")
     if budget is None:
         budget = SearchBudget.fresh()
     adj = G.adj
     allowed = interior_allowed & G.full_mask() & ~(1 << s) & ~(1 << t)
     tbit = 1 << t
+    near = None
+    if max_len is not None:
+        # near[k]: the allowed vertices a path of k edges may go on to,
+        # those within top - k of t; top is max_len, capped at n because no
+        # path has n edges. near[k] is 0 from k = top on.
+        top = max(1, min(max_len, G.n))
+        near = [0] * (top + 1)
+        layers = _frontiers(G, tbit, allowed)
+        next(layers)  # t itself
+        ball = 0
+        for k in range(top - 1, 0, -1):
+            ball |= next(layers, 0)
+            near[k] = ball
     parity_bit = {"even": 0, "odd": 1}.get(parity)
     results: list[InducedPath] = []
     path = [s]
@@ -190,10 +209,8 @@ def enumerate_induced_paths(
                     raise _LimitReached
             # t joins the excluded set of every extension: no path below.
             return
-        if max_len is not None and len(path) >= max_len:
-            return
         blocked = excl | adj[last]
-        rest = cand & allowed
+        rest = cand & (allowed if near is None else near[len(path)])
         while rest:
             low = rest & -rest
             rest ^= low

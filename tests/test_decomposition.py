@@ -313,7 +313,7 @@ def test_star_pipeline_is_pinned():
             record(find_strong_parity_star_cutset, G, hole)
         record(decompose, G)
     assert digest.hexdigest() == (
-        "f11c311c0edab1ca9956b7bfebd0f264bc4253737704fbd70d65d18c5f72c9b4"
+        "dfc58fc39ffbb204685eaa5977731520018ca3794c888d04b96088f66900dbc8"
     )
 
 

@@ -17,6 +17,7 @@ from pentagraph import (
     girth,
     random_pentagraph,
     recognize,
+    write_graph6,
 )
 from pentagraph.generate import enumerate_girth5
 from pentagraph.graph import Graph
@@ -146,12 +147,19 @@ def test_random_grower_matches_reference_without_parity_cut(edge_probability):
 
 
 def test_random_grow_corpus_steps():
-    # Pins the probe work of growing the random-grow corpus: probing every
-    # far-apart pair spends 2,082,770 steps.
+    # Pins the random-grow corpus graph by graph, and the probe work of
+    # growing it. Probing every far-apart pair with the unbounded search
+    # alone spends 2,082,770 steps, skipping the probes that parity decides
+    # 1,062,904, and looking for a six-edge witness first 511,400.
     budget = SearchBudget(10**9)
     spec = CorpusSpec("random", 1, 40, seed=20260822, target_count=100)
-    assert sum(1 for _ in generate_corpus(spec, budget)) == 100
-    assert 10**9 - budget.remaining == 1062904
+    digest = hashlib.sha256()
+    for G in generate_corpus(spec, budget):
+        digest.update((write_graph6(G) + "\n").encode())
+    assert digest.hexdigest() == (
+        "1545d5cdf904eb0a34d4bc0d0da7573582915ff175a09b021d5464a7a7b3c2e4"
+    )
+    assert 10**9 - budget.remaining == 511400
 
 
 def test_corpus_spec_validation():

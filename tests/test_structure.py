@@ -140,6 +140,17 @@ def test_enumerate_induced_paths_contracts():
         enumerate_induced_paths(petersen(), 0, 2, (1 << 10) - 1, budget=SearchBudget(3))
 
 
+def test_enumerate_induced_paths_refuses_a_limit_below_one():
+    # len(result) == limit is the sign that a limit cut the list short, so
+    # a limit no list can meet is refused rather than read as 1.
+    G = cycle(6)
+    for limit in (0, -1):
+        with pytest.raises(ContractViolation):
+            enumerate_induced_paths(G, 0, 2, G.full_mask(), limit=limit)
+    first = enumerate_induced_paths(G, 0, 2, G.full_mask(), limit=1)
+    assert [p.vertices for p in first] == [(0, 1, 2)]
+
+
 @st.composite
 def path_queries(draw):
     """A graph on at most nine vertices, two distinct ends, an interior
@@ -188,6 +199,23 @@ def test_enumerate_induced_paths_skips_what_hangs_off_a_neighbor_of_t():
         paths = enumerate_induced_paths(G, 0, 2, G.full_mask(), budget=budget)
         assert [p.vertices for p in paths] == [(0, 1, 2)]
         assert budget.remaining == 8
+
+
+def test_enumerate_induced_paths_with_max_len_skips_what_cannot_reach_t():
+    # A tail hangs off s=0 and never reaches t=2. With max_len set, the DFS
+    # goes on only to vertices close enough to t inside the allowed set, so
+    # the tail costs no step however long it is; without max_len it is
+    # walked to its end, one step per vertex.
+    for tail, unbounded in ((3, 95), (60, 38)):
+        chain = [0] + list(range(3, 3 + tail))
+        G = make_graph(3 + tail, [(0, 1), (1, 2)] + list(zip(chain, chain[1:])))
+        for max_len, remaining in ((10, 98), (None, unbounded)):
+            budget = SearchBudget(100)
+            paths = enumerate_induced_paths(
+                G, 0, 2, G.full_mask(), max_len=max_len, budget=budget
+            )
+            assert [p.vertices for p in paths] == [(0, 1, 2)]
+            assert budget.remaining == remaining
 
 
 def test_find_long_odd_hole():
