@@ -155,16 +155,13 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------- plumbing
 
 
-def _budget(args) -> SearchBudget:
-    if args.max_steps is not None:
-        if args.max_steps <= 0:
-            raise _UsageError("--max-steps must be positive")
-        return SearchBudget(args.max_steps)
-    return SearchBudget.fresh()
-
-
 def _budget_cap(args) -> int:
-    return args.max_steps if args.max_steps is not None else default_max_steps()
+    """The step budget: ``--max-steps`` if given, else default_max_steps()."""
+    if args.max_steps is None:
+        return default_max_steps()
+    if args.max_steps <= 0:
+        raise _UsageError("--max-steps must be positive")
+    return args.max_steps
 
 
 def _read_ascii(path: str) -> str:
@@ -179,6 +176,11 @@ def _read_ascii(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _graph6_lines(text: str) -> list[str]:
+    """The stripped lines of ``text``, less blank ones and '#' comments."""
+    return [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
+
+
 def _read_graph(args) -> tuple[Graph, str]:
     spec = args.input
     if spec.startswith("fixture:"):
@@ -191,9 +193,8 @@ def _read_graph(args) -> tuple[Graph, str]:
         return parse_dimacs(text), spec
     if args.format == "json":
         return parse_json_graph(text), spec
-    for line in text.splitlines():
-        if line.strip():
-            return parse_graph6(line.strip()), spec
+    for line in _graph6_lines(text):
+        return parse_graph6(line), spec
     raise ParseError("no graph line found in input")
 
 
@@ -274,7 +275,7 @@ def _verdict_exit(verdict: str) -> int:
 def cmd_recognize(args) -> int:
     started = time.perf_counter()
     G, descriptor = _read_graph(args)
-    rep = recognize(G, _budget(args))
+    rep = recognize(G, SearchBudget(_budget_cap(args)))
     _emit(args, _report(
         args, "recognize", descriptor, _ser_recognition(rep),
         exhausted=rep.verdict == INDETERMINATE, started=started,
@@ -291,7 +292,7 @@ def _search_member(args, command: str, descriptor: str, G: Graph, started: float
     report: the recognition for a non-member, or the budget running out
     before the search found a ``what``.
     """
-    budget = _budget(args)
+    budget = SearchBudget(_budget_cap(args))
     rep = recognize(G, budget)
     if rep.verdict != PENTAGRAPH:
         _emit(args, _report(
@@ -360,7 +361,7 @@ def cmd_corpus(args) -> int:
         target_count=args.count,
         edge_probability=args.edge_probability,
     )
-    stream = generate_corpus(spec, _budget(args))
+    stream = generate_corpus(spec, SearchBudget(_budget_cap(args)))
     by_n: dict[int, int] = {}
     bipartite_count = 0
     with open(args.out, "w", encoding="ascii") as fh:
@@ -402,10 +403,7 @@ def _verify_one(task: tuple[str, str, int]) -> dict:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    lines = [
-        ln.strip() for ln in _read_ascii(args.corpus).split("\n")
-        if ln.strip() and not ln.startswith("#")
-    ]
+    lines = _graph6_lines(_read_ascii(args.corpus))
     cap = _budget_cap(args)
     tasks = [(args.which, ln, cap) for ln in lines]
     if args.jobs > 1 and len(tasks) > 1:

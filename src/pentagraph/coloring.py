@@ -13,6 +13,7 @@ offending structure instead of returning a bad coloring.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -304,8 +305,9 @@ def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int
             out[low] = min(c for c in (1, 2, 3) if c not in forbidden)
             continue
         sub, old_ids = induced_subgraph(G, comp)
-        for old, col in zip(old_ids, _color_cut(sub, budget, depth - 1)):
-            out[old] = col
+        with _witness_in(old_ids):
+            for old, col in zip(old_ids, _color_cut(sub, budget, depth - 1)):
+                out[old] = col
     return Coloring(3, tuple(out[v] for v in iter_bits(keep)))
 
 
@@ -341,12 +343,28 @@ def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:
         else:
             leaves = mask_of(ids.index(u) for u in iter_bits(star.leaves))
             Gi = induced_subgraph(G, side | cut)[0]
-            col = normalize_on_star(Gi, col, ids.index(star.center), leaves)
+            with _witness_in(ids):
+                col = normalize_on_star(Gi, col, ids.index(star.center), leaves)
         for v, c in zip(ids, col.colors):
             out[v] = c
     if not verify_coloring(G, Coloring(3, tuple(out))):
         raise InvariantViolation("merged coloring improper; sides disagree on the cut")
     return tuple(out)
+
+
+@contextmanager
+def _witness_in(old_ids):
+    """Rename the witness of an InvariantViolation raised in a copy from its
+    ids i to old_ids[i]: a vertex tuple, or from combine_p3 a tuple of them."""
+    try:
+        yield
+    except InvariantViolation as err:
+        w = err.witness
+        if w and isinstance(w[0], tuple):
+            err.witness = tuple(tuple(old_ids[v] for v in path) for path in w)
+        elif w:
+            err.witness = tuple(old_ids[v] for v in w)
+        raise
 
 
 def chromatic_number_bruteforce(G: Graph, k_max: int) -> int | None:

@@ -404,56 +404,20 @@ def canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
 def girth(G: Graph):
     """Length of a shortest cycle; INFINITY for forests.
 
-    First the common-neighbour test, one pass over each neighbourhood as
-    masks: an adjacent pair with a common neighbour means girth 3, and
-    failing that, two vertices with two common neighbours mean girth 4.
-    Otherwise the girth is at least five and comes from one breadth-first
-    sweep of whole frontiers per root of the 2-core, where every cycle lies
-    (Itai and Rodeh, "Finding a minimum circuit in a graph", SIAM J.
-    Comput. 1978). An edge inside layer d closes a cycle of length at most
-    2d + 1, and a layer-(d + 1) vertex reached from two layer-d vertices
-    one of at most 2d + 2. From a root on a shortest cycle the first such
-    find is exact, and from any root it is at most the shortest cycle
-    through the root, so a swept root leaves the later sweeps.
+    One frontier sweep per root in ascending order, each inside the
+    vertices not yet swept (Itai and Rodeh, SIAM J. Comput. 1978). Exact: no
+    sweep reports less than the girth, since an edge inside layer d closes
+    an odd closed walk of length 2d + 1 and a layer-(d + 1) vertex reached
+    from two layer-d vertices a cycle of length at most 2d + 2; a root on a
+    shortest cycle inside its sweep finds that cycle's length; and a swept
+    root leaves the later sweeps, since the least vertex of a shortest
+    cycle is swept while the whole cycle is still inside.
     """
-    adj = G.adj
-    four = False
-    for u in range(G.n):
-        au = adj[u]
-        reached = twice = 0
-        rest = au
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            aw = adj[low.bit_length() - 1]
-            if aw & au:
-                return 3
-            twice |= reached & aw
-            reached |= aw
-        if twice & ~(1 << u):
-            four = True
-    if four:
-        return 4
-    # Peel vertices of degree below two until the 2-core is left.
-    core = G.full_mask()
-    degree = [a.bit_count() for a in adj]
-    thin = [v for v in range(G.n) if degree[v] < 2]
-    while thin:
-        v = thin.pop()
-        core ^= 1 << v
-        rest = adj[v] & core
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            degree[w] -= 1
-            if degree[w] == 1:
-                thin.append(w)
     best = INFINITY
-    allowed = core
-    for root in iter_bits(core):
-        best = _sweep(adj, allowed, root, best)
-        if best == 5:
+    allowed = G.full_mask()
+    for root in range(G.n):
+        best = _sweep(G.adj, allowed, root, best)
+        if best == 3:
             break
         allowed ^= 1 << root
     return best

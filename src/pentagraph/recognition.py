@@ -45,7 +45,7 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
 
     The class is: girth at least five, and every induced odd cycle has
     length exactly five. Girth is checked first, so short-cycle witnesses
-    are preferred: its common-neighbour test over masks decides "below
+    are preferred: girth, one frontier sweep per root, decides "below
     five", and only then does shortest_cycle, one breadth-first search per
     edge, build the witness, once. A bipartite graph has no odd cycle, so
     the long-odd-hole search, the only step that can exhaust the budget,

@@ -390,16 +390,36 @@ def test_oracle_command(capsys):
 
 
 def test_usage_and_io_errors(capsys, monkeypatch, tmp_path):
+    corpus = tmp_path / "c5.g6"
+    corpus.write_text(write_graph6(fixture("c5")) + "\n")
     for argv in ([], ["bogus"], ["recognize", "fixture:c5", "--max-steps", "0"],
+                 ["verify", "t13", str(corpus), "--max-steps", "0"],
+                 ["verify", "t13", str(corpus), "--max-steps", "-5"],
                  ["recognize", "fixture:nope"],
                  ["recognize", str(tmp_path / "missing.g6")]):
-        code, _, err = run(argv, capsys)
-        assert code == 3 and err.startswith("error:"), argv
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == "" and err.startswith("error:"), argv
+        if "--max-steps" in argv:
+            assert "--max-steps must be positive" in err
 
     code, _, err = run(["recognize", "-"], capsys, monkeypatch, stdin="!!bad\n")
     assert code == 3 and "invalid graph6 character" in err
     code, _, err = run(["recognize", "-"], capsys, monkeypatch, stdin="   \n")
     assert code == 3 and "no graph line found" in err
+
+
+def test_graph6_comment_lines_are_skipped(capsys, monkeypatch, tmp_path):
+    # Every command reads the same graph6 lines: blank lines and lines
+    # starting with '#' are skipped, as in perfbench/members.g6.
+    text = "# two graphs\n\n" + write_graph6(fixture("c7")) + "\n" + write_graph6(petersen()) + "\n"
+    corpus = tmp_path / "commented.g6"
+    corpus.write_text(text)
+    code, out, _ = run(["recognize", str(corpus)], capsys)
+    assert code == 1 and report(out)["outcome"]["witness"] == list(range(7))
+    code, out, _ = run(["recognize", "-"], capsys, monkeypatch, stdin=text)
+    assert code == 1 and report(out)["outcome"]["witness"] == list(range(7))
+    code, out, _ = run(["verify", "t12", str(corpus)], capsys)
+    assert code == 0 and report(out)["outcome"]["total"] == 2
 
 
 def test_report_to_file(capsys, tmp_path):

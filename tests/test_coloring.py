@@ -415,6 +415,14 @@ def make_glued_on_edge():
     return make_graph(18, edges)
 
 
+def assert_paths_of(G, witness):
+    """The witness is a path of G, or (from combine_p3) a tuple of them."""
+    assert witness
+    for path in witness if isinstance(witness[0], tuple) else (witness,):
+        assert len(set(path)) == len(path) and all(0 <= v < G.n for v in path)
+        assert all(G.has_edge(u, v) for u, v in zip(path, path[1:])), path
+
+
 def test_three_color_on_path_glued_copies():
     # Off-class input (it holds an induced 7-cycle) whose decomposition is
     # the cut path: the combiner either returns a verified coloring or
@@ -423,9 +431,24 @@ def test_three_color_on_path_glued_copies():
     try:
         col = three_color(G, SearchBudget(10**9))
     except InvariantViolation as err:
-        assert err.witness
+        assert_paths_of(G, err.witness)
     else:
         assert verify_coloring(G, col)
+
+
+@pytest.mark.parametrize("g6, message, witness", [
+    ("K?PGBPWKnSCi", "every exchange component mixes both leaf colors", (8, 9, 11, 5)),
+    ("J`RDaBiCma?", "sides force both parities", ((3, 10, 0, 8), (3, 2, 8), (3, 9, 8))),
+    ("M_p?OU_WKmNhlH?d?", "even local jump", (0, 4, 6, 13, 9)),
+])
+def test_three_color_witnesses_name_input_vertices(g6, message, witness):
+    # Off-class graphs whose violation is raised inside a copied component
+    # or star side: the witness must come back in the input's vertex ids.
+    G = parse_graph6(g6)
+    with pytest.raises(InvariantViolation, match=message) as err:
+        three_color(G, SearchBudget(200_000))
+    assert_paths_of(G, err.value.witness)
+    assert err.value.witness == witness
 
 
 def test_chromatic_bruteforce_cases():

@@ -306,8 +306,9 @@ def heawood():
 
 
 def girth_sweep_inputs(rng, members):
-    """Graphs whose girth, if at least five, comes from the per-root sweep,
-    and a few whose only short cycle the common-neighbour test must find."""
+    """Sparse graphs of girth five or more, long cycles, graphs whose tree
+    vertices on low labels are swept before any cycle vertex, and a few
+    whose only short cycle hangs off a part of girth five or more."""
     for _ in range(300):
         # Random pairs in random order, each kept when it closes no cycle
         # shorter than five: sparse graphs of girth five or more.
@@ -338,6 +339,22 @@ def girth_sweep_inputs(rng, members):
     H = heawood()
     yield make_graph(16, H.edges() + [(0, 14), (14, 15), (15, 0)])
     yield make_graph(15, H.edges() + [(0, 14), (14, 2)])
+    for _ in range(4):
+        # Pendant trees on 0..t-1, each vertex hung from a higher one, over
+        # a cycle on the rest with chords that close no cycle shorter than
+        # five: the first sweeps start from tree vertices.
+        n = rng.randrange(60, 129)
+        t = rng.randrange(5, 20)
+        core = list(range(t, n))
+        rng.shuffle(core)
+        edges = [(v, rng.randrange(v + 1, n)) for v in range(t)]
+        edges += [(core[i - 1], core[i]) for i in range(len(core))]
+        G = make_graph(n, edges, max_n=128)
+        for _ in range(30):
+            u, v = rng.sample(core, 2)
+            if o_distance(G, u, v) >= 4:
+                G = make_graph(n, G.edges() + [(u, v)], max_n=128)
+        yield G
 
 
 def test_girth_matches_oracle(random_pentagraphs_20):
