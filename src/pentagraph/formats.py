@@ -7,6 +7,7 @@ return a partially filled graph.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import GraphConstructionError, ParseError
 from .graph import HARD_MAX_VERTICES, Graph, make_graph
@@ -48,10 +49,19 @@ def parse_graph6(text: str) -> Graph:
     # Padding bits live only in the last character.
     if vals and vals[-1] & ((1 << (6 * nchars - nbits)) - 1):
         raise ParseError("nonzero padding bits", base + pos + nchars - 1)
-    # Bits run over the upper triangle column by column, as write_graph6 emits them.
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    bits = (v >> shift & 1 for v in vals for shift in range(5, -1, -1))
-    edges = [ij for ij, b in zip(pairs, bits) if b]
+    # Bits run over the upper triangle column by column, as write_graph6
+    # emits them: bit k (from the top) is pair (i, j) with k = j(j-1)/2 + i.
+    body_bits = 0
+    for v in vals:
+        body_bits = body_bits << 6 | v
+    top = 6 * nchars - 1
+    edges = []
+    while body_bits:
+        low = body_bits & -body_bits
+        body_bits ^= low
+        k = top - (low.bit_length() - 1)
+        j = (1 + math.isqrt(8 * k + 1)) // 2
+        edges.append((k - j * (j - 1) // 2, j))
     try:
         # Parsers accept anything up to the hard cap; the default cap only
         # guards graphs built programmatically.

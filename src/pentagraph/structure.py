@@ -146,23 +146,34 @@ def enumerate_induced_paths(
     list is exhaustive unless ``limit`` cut it short (detectable by
     ``len(result) == limit``; a ``limit`` below 1 is refused).
 
-    Two branches are cut. First, once the path's last vertex is adjacent to
-    t, the path either ends at t there or not at all, because every longer
-    path through that vertex would have a chord to t. The DFS records the
-    path to t and returns, so a pendant tree hanging off a neighbor of t
-    costs one step, not a walk of the tree. Second, with ``max_len`` set,
-    the distances to t inside ``interior_allowed`` are taken once, and a
-    path of k edges goes on only to vertices within ``max_len - k`` of t:
-    the rest of the path lies inside ``interior_allowed`` and is no shorter
-    than that distance, so only subtrees with no path short enough go.
-    Without ``max_len`` other dead branches, such as those that cannot
-    reach t inside ``interior_allowed``, are still walked: the search is
-    exact but exponential in the worst case. Chudnovsky, Scott and Seymour
+    Each cut drops only subtrees that hold no answer, so the list, its
+    order and every ``limit`` prefix are those of the plain DFS. First,
+    once the path's last vertex is adjacent to t, the path either ends at t
+    there or not at all, because every longer path through that vertex
+    would have a chord to t. The DFS records the path to t and returns, so
+    a pendant tree hanging off a neighbor of t costs one step, not a walk
+    of the tree. Second, with ``max_len`` set, the distances to t inside
+    ``interior_allowed`` are taken once, and a path of k edges goes on only
+    to vertices within ``max_len - k`` of t: the rest of the path lies
+    inside ``interior_allowed`` and is no shorter than that distance, so
+    only subtrees with no path short enough go.
+
+    Third, without ``max_len``, each node with children sweeps once from t
+    through R, the allowed vertices that are neither on the path nor
+    adjacent to it (see ``_children_reaching_t``). A path that goes on
+    through the child z ends z, w1, ..., wk, t with every wi in R, so z is
+    adjacent to t or to t's part of R, and the other children go. When the
+    sweep finds no edge inside one of its layers, t's part of R is
+    bipartite, and every walk from a vertex of layer d to t has d's
+    parity; so with a parity asked for, only the children adjacent to a
+    layer of the parity that completes the path stay. The search is still
+    exact and exponential in the worst case. Chudnovsky, Scott and Seymour
     show that a long odd hole can be found in polynomial time ("Detecting a
     long odd hole", Combinatorica 2021); this DFS does not attempt that.
 
-    Each DFS node costs one budget step; exhausting the budget raises
-    SearchBudgetExceeded, it never silently returns a partial answer.
+    Each DFS node costs one budget step, and the sweeps cost none;
+    exhausting the budget raises SearchBudgetExceeded, it never silently
+    returns a partial answer.
     """
     if s == t:
         raise ContractViolation("path ends must be distinct")
@@ -210,7 +221,15 @@ def enumerate_induced_paths(
             # t joins the excluded set of every extension: no path below.
             return
         blocked = excl | adj[last]
-        rest = cand & (allowed if near is None else near[len(path)])
+        if near is None:
+            rest = cand & allowed
+            if rest:
+                # A child z completes the path with 1 + d more edges through
+                # layer d, so the wanted layers have d = parity - len(path) - 1.
+                want = None if parity_bit is None else (parity_bit ^ len(path) ^ 1) & 1
+                rest = _children_reaching_t(adj, tbit, allowed & ~blocked, rest, want)
+        else:
+            rest = cand & near[len(path)]
         while rest:
             low = rest & -rest
             rest ^= low
@@ -224,6 +243,38 @@ def enumerate_induced_paths(
     except _LimitReached:
         pass
     return results
+
+
+def _children_reaching_t(adj, tbit: int, region: int, kids: int, want: int | None) -> int:
+    """The kids adjacent to t's part of ``region``, t included; with
+    ``want`` set and that part bipartite, only those adjacent to a layer at
+    a distance of parity ``want`` from t.
+
+    One sweep of the breadth-first layers from t inside ``region``; the
+    kids lie outside it and only collect the layers they touch. An edge
+    inside a layer closes an odd cycle, and then parity decides nothing.
+    The sweep stops once every kid is kept.
+    """
+    touched = [0, 0]
+    seen = frontier = tbit
+    either = want is None
+    d = 0
+    while frontier:
+        nxt = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt |= adj[low.bit_length() - 1]
+        either = either or nxt & frontier != 0
+        touched[d] |= nxt & kids
+        keep = touched[0] | touched[1] if either else touched[want]
+        if keep == kids:
+            return kids
+        frontier = nxt & region & ~seen
+        seen |= frontier
+        d ^= 1
+    return keep
 
 
 def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | None:
@@ -444,22 +495,33 @@ def contains_induced(
     if budget is None:
         budget = SearchBudget.fresh()
     order = _search_order(pattern)
+    adj = G.adj
+    degrees = [a.bit_count() for a in adj]
     by_degree = [
-        mask_of(h for h in range(G.n) if G.degree(h) >= pattern.degree(u))
+        mask_of(h for h, d in enumerate(degrees) if d >= pattern.degree(u))
         for u in range(pattern.n)
+    ]
+    # For each position: its vertex, and the earlier vertices it must and
+    # must not neighbour.
+    plan = [
+        (
+            u,
+            tuple(w for w in order[:pos] if pattern.has_edge(u, w)),
+            tuple(w for w in order[:pos] if not pattern.has_edge(u, w)),
+        )
+        for pos, u in enumerate(order)
     ]
     assign = [-1] * pattern.n
 
     def place(pos: int, used: int) -> bool:
         if pos == len(order):
             return True
-        u = order[pos]
+        u, linked, unlinked = plan[pos]
         cand = by_degree[u] & ~used
-        for w in order[:pos]:
-            if pattern.has_edge(u, w):
-                cand &= G.adj[assign[w]]
-            else:
-                cand &= ~G.adj[assign[w]]
+        for w in linked:
+            cand &= adj[assign[w]]
+        for w in unlinked:
+            cand &= ~adj[assign[w]]
         while cand:
             low = cand & -cand
             cand ^= low

@@ -113,23 +113,23 @@ def test_color_commands(capsys, monkeypatch):
     assert code == 1 and rep["outcome"]["refused"] is True
     assert rep["outcome"]["recognition"]["verdict"] == "not_pentagraph"
 
-    # Budget too small to even recognize (that takes 104 steps):
+    # Budget too small to even recognize (that takes 64 steps):
     # indeterminate, not a wrong answer.
     g6 = write_graph6(glue_petersens_at_vertex()) + "\n"
-    code, out, _ = run(["color3", "-", "--max-steps", "100"], capsys, monkeypatch,
+    code, out, _ = run(["color3", "-", "--max-steps", "60"], capsys, monkeypatch,
                        stdin=g6)
     rep = report(out)
     assert code == 2 and rep["outcome"]["refused"] is True
     assert rep["budget"]["exhausted"] is True
 
     # Recognition and the search share one budget: recognizing Petersen
-    # takes 52 steps and three_color 10 more.
-    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "52"], capsys)
+    # takes 32 steps and three_color 10 more.
+    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "32"], capsys)
     rep = report(out)
     assert code == 2
     assert rep["outcome"] == {"refused": True, "reason": "budget exhausted before a coloring"}
-    assert rep["budget"] == {"max_steps": 52, "exhausted": True}
-    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "62"], capsys)
+    assert rep["budget"] == {"max_steps": 32, "exhausted": True}
+    code, out, _ = run(["color3", "fixture:petersen", "--max-steps", "42"], capsys)
     assert code == 0 and report(out)["outcome"]["verified"] is True
 
 

@@ -61,6 +61,31 @@ def test_graph6_large_counts():
         parse_graph6(write_graph6(make_graph(0, [])) .replace("?", "~~"))
 
 
+def test_graph6_round_trips_every_order_up_to_128():
+    # Seeded graphs of every order the parser accepts, sparse to dense,
+    # across the switch to the four-character count at n = 63. Each line
+    # parses back to its graph, and setting any padding bit of its last
+    # character is refused at that character.
+    rng = make_rng("g6-round-trip")
+    for n in range(129):
+        for p in (0.05, 0.5, 0.95):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            G = make_graph(n, [e for e in pairs if rng.random() < p], max_n=128)
+            line = write_graph6(G)
+            head = 1 if n <= 62 else 4
+            assert (line[0] == "~") == (n >= 63)
+            assert len(line) == head + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(line) == G
+            assert parse_graph6(">>graph6<<" + line + "\n") == G
+        pad = -(n * (n - 1) // 2) % 6
+        for bit in range(pad):
+            bad = line[:-1] + chr((ord(line[-1]) - 63 | 1 << bit) + 63)
+            for prefix in ("", ">>graph6<<"):
+                with pytest.raises(ParseError, match="nonzero padding bits") as err:
+                    parse_graph6(prefix + bad)
+                assert err.value.offset == len(prefix) + len(line) - 1
+
+
 def test_graph6_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_graph6("")

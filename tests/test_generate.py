@@ -150,7 +150,8 @@ def test_random_grow_corpus_steps():
     # Pins the random-grow corpus graph by graph, and the probe work of
     # growing it. Probing every far-apart pair with the unbounded search
     # alone spends 2,082,770 steps, skipping the probes that parity decides
-    # 1,062,904, and looking for a six-edge witness first 511,400.
+    # 1,062,904, looking for a six-edge witness first 511,400, and cutting
+    # the children that cannot reach t in the unbounded pass 129,050.
     budget = SearchBudget(10**9)
     spec = CorpusSpec("random", 1, 40, seed=20260822, target_count=100)
     digest = hashlib.sha256()
@@ -159,7 +160,7 @@ def test_random_grow_corpus_steps():
     assert digest.hexdigest() == (
         "1545d5cdf904eb0a34d4bc0d0da7573582915ff175a09b021d5464a7a7b3c2e4"
     )
-    assert 10**9 - budget.remaining == 511400
+    assert 10**9 - budget.remaining == 129050
 
 
 def test_corpus_spec_validation():

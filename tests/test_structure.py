@@ -20,6 +20,7 @@ from pentagraph import (
     is_linked,
     is_odd_linked,
     make_graph,
+    parse_graph6,
     recognize,
 )
 from pentagraph import structure
@@ -29,6 +30,7 @@ from pentagraph.generate import enumerate_girth5
 from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_steps
 
 from conftest import make_rng, star_gadget
+from test_coloring import MEMBERS
 from test_decomposition import glue_petersens_at_vertex
 from test_graph import heawood, rand_graph
 from oracles import (
@@ -153,11 +155,19 @@ def test_enumerate_induced_paths_refuses_a_limit_below_one():
 
 @st.composite
 def path_queries(draw):
-    """A graph on at most nine vertices, two distinct ends, an interior
-    mask and one combination of the path filters."""
-    n = draw(st.integers(2, 9))
+    """A graph, two distinct ends, an interior mask and one combination of
+    the path filters. Half the graphs are arbitrary on at most nine
+    vertices; the others are bipartite on at most twelve plus up to three
+    edges that may close odd cycles, where parity decides most branches."""
+    bipartite = draw(st.booleans())
+    n = draw(st.integers(2, 12 if bipartite else 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
+    if bipartite:
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = [(u, v) for u, v in pairs if side[u] != side[v] and draw(st.booleans())]
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    else:
+        edges = [e for e in pairs if draw(st.booleans())]
     s, t = draw(st.permutations(range(n)))[:2]
     allowed = draw(st.integers(0, (1 << n) - 1))
     options = dict(
@@ -188,6 +198,25 @@ def test_enumerate_induced_paths_is_the_filtered_oracle_in_dfs_order(query):
     assert [p.vertices for p in first] == want[:k]
 
 
+@settings(deadline=None, max_examples=200)
+@given(path_queries(), st.data())
+def test_enumerate_induced_paths_exhausts_exactly_past_its_steps(query, data):
+    # One step per DFS node and none for the sweeps: a budget of at least
+    # the full run's steps gives the full answer, any smaller one raises.
+    G, s, t, allowed, options, k = query
+    full = SearchBudget(10**6)
+    want = enumerate_induced_paths(G, s, t, allowed, limit=k, budget=full, **options)
+    spent = 10**6 - full.remaining
+    cap = data.draw(st.integers(0, spent + 1))
+    budget = SearchBudget(cap)
+    if cap < spent:
+        with pytest.raises(SearchBudgetExceeded):
+            enumerate_induced_paths(G, s, t, allowed, limit=k, budget=budget, **options)
+    else:
+        got = enumerate_induced_paths(G, s, t, allowed, limit=k, budget=budget, **options)
+        assert got == want and budget.remaining == cap - spent
+
+
 def test_enumerate_induced_paths_skips_what_hangs_off_a_neighbor_of_t():
     # s=0 and t=2 share the neighbor 1, and a long path hangs off 1. Every
     # path through 1 that goes on past it has the chord 1-2, so the DFS
@@ -202,20 +231,44 @@ def test_enumerate_induced_paths_skips_what_hangs_off_a_neighbor_of_t():
 
 
 def test_enumerate_induced_paths_with_max_len_skips_what_cannot_reach_t():
-    # A tail hangs off s=0 and never reaches t=2. With max_len set, the DFS
-    # goes on only to vertices close enough to t inside the allowed set, so
-    # the tail costs no step however long it is; without max_len it is
-    # walked to its end, one step per vertex.
-    for tail, unbounded in ((3, 95), (60, 38)):
-        chain = [0] + list(range(3, 3 + tail))
-        G = make_graph(3 + tail, [(0, 1), (1, 2)] + list(zip(chain, chain[1:])))
-        for max_len, remaining in ((10, 98), (None, unbounded)):
-            budget = SearchBudget(100)
-            paths = enumerate_induced_paths(
-                G, 0, 2, G.full_mask(), max_len=max_len, budget=budget
-            )
-            assert [p.vertices for p in paths] == [(0, 1, 2)]
-            assert budget.remaining == remaining
+    # A dead branch hangs off s=0 and never reaches t=2: a tail of 3 or 60
+    # vertices, or a Petersen graph. With max_len set, the DFS goes on only
+    # to vertices close enough to t inside the allowed set; without it,
+    # only to children that touch t's part of the vertices the path may
+    # still use. Either way, and with a parity asked for, the branch costs
+    # no step (an uncut DFS spends at least one step per tail vertex).
+    chains = [[0] + list(range(3, 3 + tail)) for tail in (3, 60)]
+    branches = [list(zip(chain, chain[1:])) for chain in chains]
+    branches.append([(0, 3)] + [(u + 3, v + 3) for u, v in petersen().edges()])
+    for branch in branches:
+        G = make_graph(1 + max(v for _, v in branch), [(0, 1), (1, 2)] + branch)
+        for max_len in (10, None):
+            for parity in ("any", "even"):
+                budget = SearchBudget(100)
+                paths = enumerate_induced_paths(
+                    G, 0, 2, G.full_mask(), parity=parity, max_len=max_len, budget=budget
+                )
+                assert [p.vertices for p in paths] == [(0, 1, 2)]
+                assert budget.remaining == 98
+
+
+def test_enumerate_induced_paths_decides_parity_in_a_bipartite_region():
+    # In the 6x6 grid every 0-14 path has the parity of their distance,
+    # four. The sweep from 14 at s finds no edge inside a layer, so an odd
+    # search ends after its first step; an even one has paths to find.
+    grid = make_graph(
+        36, [(v, v + 1) for v in range(36) if v % 6 < 5] + [(v, v + 6) for v in range(30)]
+    )
+    budget = SearchBudget(10**6)
+    assert enumerate_induced_paths(grid, 0, 14, grid.full_mask(), parity="odd", budget=budget) == []
+    assert budget.remaining == 10**6 - 1
+    even = enumerate_induced_paths(grid, 0, 14, grid.full_mask(), parity="even", limit=50)
+    assert len(even) == 50
+    # A diagonal 21-28 closes two triangles, and parity no longer decides:
+    # the odd search goes on and finds a path through the diagonal.
+    tri = make_graph(36, grid.edges() + [(21, 28)])
+    odd = enumerate_induced_paths(tri, 0, 14, tri.full_mask(), parity="odd", limit=1)
+    assert len(odd) == 1 and odd[0].length % 2 == 1 and {21, 28} <= set(odd[0].vertices)
 
 
 def test_find_long_odd_hole():
@@ -451,13 +504,14 @@ def test_jump_validate_rejects_nonlocal_paths_and_derives_kind():
 
 def test_jump_steps_on_random_grow_graphs(random_pentagraphs_40):
     # Pins the work of the jump search on the first 100 random members: a
-    # search that also walked the non-local paths spends 461,374 steps.
+    # search that also walked the non-local paths spends 461,374 steps, and
+    # one that walked the children that cannot reach t 284,365.
     budget = SearchBudget(10**9)
     count = 0
     for G in random_pentagraphs_40[:100]:
         for C in five_holes(G):
             count += len(find_jumps(G, C, budget=budget))
-    assert (count, 10**9 - budget.remaining) == (4004, 284365)
+    assert (count, 10**9 - budget.remaining) == (4004, 18594)
 
 
 def test_find_jumps_rejects_bad_input():
@@ -542,3 +596,34 @@ def test_girth5_stream_long_hole_split():
             n_c7 += 1
     assert n_member + n_c7 == 53365
     assert n_c7 == 360  # labelings of the heptagon: 6!/2
+
+
+def test_member_step_ledger():
+    # The deterministic steps of the member searches over the 128 lines of
+    # perfbench/members.g6 (read, never written), each search with its own
+    # budget per graph and the jumps taken over every 5-hole. A change to
+    # a DFS shows its step change here. Before the unbounded DFS swept from
+    # t at each node, recognize spent 392,951 steps and find_jumps 648,570.
+    lines = [ln for ln in MEMBERS.read_text(encoding="ascii").split("\n")
+             if ln.strip() and not ln.startswith("#")]
+    assert len(lines) == 128
+    ledger = dict.fromkeys(("recognize", "five_holes", "find_jumps", "contains_induced_p2"), 0)
+    p2 = fixture("p2")
+    for line in lines:
+        G = parse_graph6(line)
+        searches = {
+            "recognize": lambda b: recognize(G, b),
+            "five_holes": lambda b: five_holes(G, b),
+            "find_jumps": lambda b: [find_jumps(G, C, budget=b) for C in five_holes(G)],
+            "contains_induced_p2": lambda b: contains_induced(G, p2, b),
+        }
+        for name, search in searches.items():
+            budget = SearchBudget(10**9)
+            search(budget)
+            ledger[name] += 10**9 - budget.remaining
+    assert ledger == {
+        "recognize": 29332,
+        "five_holes": 14945,
+        "find_jumps": 64613,
+        "contains_induced_p2": 41517,
+    }
