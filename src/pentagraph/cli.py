@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="search step budget (default: PENTA_MAX_STEPS if set, "
             f"else {DEFAULT_MAX_STEPS})",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for batch runs")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for verify; other commands accept and ignore it")
 
     p = sub.add_parser("recognize", help="decide class membership")
     add_input(p)
@@ -141,8 +142,14 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, descriptor, outcome, exhausted = args.func(args)
+        if outcome is not None:
+            report = _report(args, descriptor, outcome, exhausted, started)
+            # A corpus report goes to stdout: its --out holds the graph6 lines.
+            _emit(None if args.command == "corpus" else args.out, report)
+        return code
     except (_UsageError, ParseError, GraphConstructionError, ContractViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -181,26 +188,27 @@ def _graph6_lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.split("\n") if ln.strip() and not ln.startswith("#")]
 
 
-def _read_graph(args) -> tuple[Graph, str]:
+def _read_graph(args) -> Graph:
     spec = args.input
     if spec.startswith("fixture:"):
-        return fixture(spec[len("fixture:"):]), spec
+        return fixture(spec[len("fixture:"):])
     if spec == "-":
         text = sys.stdin.read()
     else:
         text = _read_ascii(spec)
     if args.format == "dimacs":
-        return parse_dimacs(text), spec
+        return parse_dimacs(text)
     if args.format == "json":
-        return parse_json_graph(text), spec
+        return parse_json_graph(text)
     for line in _graph6_lines(text):
-        return parse_graph6(line), spec
+        return parse_graph6(line)
     raise ParseError("no graph line found in input")
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -208,11 +216,10 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _report(args, command: str, descriptor: str, outcome: dict, *, exhausted: bool,
-            started: float) -> str:
+def _report(args, descriptor: str, outcome: dict, exhausted: bool, started: float) -> str:
     """The JSON report around ``outcome``: sorted keys, two-space indent."""
     report = {
-        "command": command,
+        "command": args.command,
         "input": descriptor,
         "outcome": outcome,
         "budget": {"max_steps": _budget_cap(args), "exhausted": exhausted},
@@ -270,85 +277,59 @@ def _verdict_exit(verdict: str) -> int:
 
 
 # ---------------------------------------------------------------- commands
+# Each returns (exit code, input descriptor, outcome, exhausted); main()
+# reports the outcome unless it is None: the command wrote its own output.
 
 
-def cmd_recognize(args) -> int:
-    started = time.perf_counter()
-    G, descriptor = _read_graph(args)
-    rep = recognize(G, SearchBudget(_budget_cap(args)))
-    _emit(args, _report(
-        args, "recognize", descriptor, _ser_recognition(rep),
-        exhausted=rep.verdict == INDETERMINATE, started=started,
-    ))
-    return _verdict_exit(rep.verdict)
+def cmd_recognize(args):
+    rep = recognize(_read_graph(args), SearchBudget(_budget_cap(args)))
+    return (_verdict_exit(rep.verdict), args.input, _ser_recognition(rep),
+            rep.verdict == INDETERMINATE)
 
 
-def _search_member(args, command: str, descriptor: str, G: Graph, started: float,
-                   search, what: str):
+def _search_member(args, G: Graph, search, what: str):
     """Run ``search(G, budget)`` once recognition accepts G as a member;
     both draw on the one budget of ``--max-steps``.
 
-    Returns (None, result), or (exit code, None) after writing a refusal
-    report: the recognition for a non-member, or the budget running out
-    before the search found a ``what``.
+    Returns (None, result), or (refusal, None) where the refusal is the
+    command's return: the recognition for a non-member, or the budget
+    running out before the search found a ``what``.
     """
     budget = SearchBudget(_budget_cap(args))
     rep = recognize(G, budget)
     if rep.verdict != PENTAGRAPH:
-        _emit(args, _report(
-            args, command, descriptor,
-            {"refused": True, "recognition": _ser_recognition(rep)},
-            exhausted=rep.verdict == INDETERMINATE, started=started,
-        ))
-        return _verdict_exit(rep.verdict), None
+        outcome = {"refused": True, "recognition": _ser_recognition(rep)}
+        return (_verdict_exit(rep.verdict), args.input, outcome,
+                rep.verdict == INDETERMINATE), None
     try:
         return None, search(G, budget)
     except SearchBudgetExceeded:
-        _emit(args, _report(
-            args, command, descriptor,
-            {"refused": True, "reason": f"budget exhausted before a {what}"},
-            exhausted=True, started=started,
-        ))
-        return 2, None
+        outcome = {"refused": True, "reason": f"budget exhausted before a {what}"}
+        return (2, args.input, outcome, True), None
 
 
-def cmd_color(args) -> int:
-    started = time.perf_counter()
-    G, descriptor = _read_graph(args)
+def cmd_color(args):
+    G = _read_graph(args)
     search = three_color if args.k == 3 else lambda G, budget: four_color(G)
-    code, col = _search_member(
-        args, f"color{args.k}", descriptor, G, started, search, "coloring"
-    )
-    if code is not None:
-        return code
+    refusal, col = _search_member(args, G, search, "coloring")
+    if refusal:
+        return refusal
     if not verify_coloring(G, col):
         raise InvariantViolation("emitted coloring failed verification")
     if args.emit == "dot":
-        _emit(args, write_dot(G, col.colors))
-        return 0
-    _emit(args, _report(
-        args, f"color{args.k}", descriptor,
-        {"coloring": _ser_coloring(col), "verified": True},
-        exhausted=False, started=started,
-    ))
-    return 0
+        _emit(args.out, write_dot(G, col.colors))
+        return 0, args.input, None, False
+    return 0, args.input, {"coloring": _ser_coloring(col), "verified": True}, False
 
 
-def cmd_decompose(args) -> int:
-    started = time.perf_counter()
-    G, descriptor = _read_graph(args)
-    code, out = _search_member(
-        args, "decompose", descriptor, G, started, decompose, "certificate"
-    )
-    if code is not None:
-        return code
-    _emit(args, _report(args, "decompose", descriptor, _ser_outcome(out),
-                        exhausted=False, started=started))
-    return 0 if out.variant != "none_found" else 1
+def cmd_decompose(args):
+    refusal, out = _search_member(args, _read_graph(args), decompose, "certificate")
+    if refusal:
+        return refusal
+    return 0 if out.variant != "none_found" else 1, args.input, _ser_outcome(out), False
 
 
-def cmd_corpus(args) -> int:
-    started = time.perf_counter()
+def cmd_corpus(args):
     if not args.out:
         raise _UsageError("corpus needs --out FILE for the graph6 lines")
     if args.mode == "exhaustive" and args.n_max > EXHAUSTIVE_MAX_N:
@@ -378,11 +359,8 @@ def cmd_corpus(args) -> int:
         "bipartite_fraction": (bipartite_count / total) if total else None,
         "truncated": stream.truncated,
     }
-    # Printed, not emitted: --out holds the graph6 lines.
-    print(_report(args, "corpus",
-                  f"mode={args.mode} n={spec.n_min}..{spec.n_max} seed={spec.seed}",
-                  outcome, exhausted=stream.truncated, started=started))
-    return 2 if stream.truncated else 0
+    descriptor = f"mode={args.mode} n={spec.n_min}..{spec.n_max} seed={spec.seed}"
+    return 2 if stream.truncated else 0, descriptor, outcome, stream.truncated
 
 
 def _verify_one(task: tuple[str, str, int]) -> dict:
@@ -401,8 +379,7 @@ def _verify_one(task: tuple[str, str, int]) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     lines = _graph6_lines(_read_ascii(args.corpus))
     cap = _budget_cap(args)
     tasks = [(args.which, ln, cap) for ln in lines]
@@ -428,27 +405,19 @@ def cmd_verify(args) -> int:
         "indeterminate": indeterminate,
         "first_counterexample": first,
     }
-    _emit(args, _report(args, "verify", args.corpus, outcome,
-                        exhausted=indeterminate > 0, started=started))
-    if failed:
-        return 1
-    return 2 if indeterminate else 0
+    code = 1 if failed else 2 if indeterminate else 0
+    return code, args.corpus, outcome, indeterminate > 0
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    G, descriptor = _read_graph(args)
+def cmd_oracle(args):
+    G = _read_graph(args)
     if args.which == "recognize":
         rep = naive_recognize(G)
-        _emit(args, _report(args, "oracle", descriptor,
-                            {"which": "recognize", **_ser_recognition(rep)},
-                            exhausted=False, started=started))
-        return _verdict_exit(rep.verdict)
-    chi = chromatic_number_bruteforce(G, args.k_max)
-    _emit(args, _report(args, "oracle", descriptor,
-                        {"which": "chromatic", "k_max": args.k_max, "chromatic_number": chi},
-                        exhausted=False, started=started))
-    return 0
+        outcome = {"which": "recognize", **_ser_recognition(rep)}
+        return _verdict_exit(rep.verdict), args.input, outcome, False
+    outcome = {"which": "chromatic", "k_max": args.k_max,
+               "chromatic_number": chromatic_number_bruteforce(G, args.k_max)}
+    return 0, args.input, outcome, False
 
 
 if __name__ == "__main__":

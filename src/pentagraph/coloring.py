@@ -279,16 +279,16 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    result = _color(G, G.full_mask(), [0] * G.n, budget, G.n + 2)
+    out = [0] * G.n
+    _color(G, G.full_mask(), out, budget, G.n + 2)
+    result = Coloring(3, tuple(out))
     if not verify_coloring(G, result):
         raise InvariantViolation("three-coloring came out improper")
     return result
 
 
-def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> Coloring:
-    """Color G[keep] into ``out`` and return ``out`` read over ``keep`` in
-    ascending order. Relabelling keeps vertex order, so that is the coloring
-    of the relabelled copy of G[keep]."""
+def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> None:
+    """Color G[keep] into ``out``."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
     adj = G.adj
@@ -308,6 +308,14 @@ def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int
         with _witness_in(old_ids):
             for old, col in zip(old_ids, _color_cut(sub, budget, depth - 1)):
                 out[old] = col
+
+
+def _color_side(G: Graph, keep: int, out: list[int], budget: SearchBudget,
+                depth: int) -> Coloring:
+    """Color G[keep] into ``out`` and return the coloring of the relabelled
+    copy of G[keep], which keeps vertex order, before the next side
+    overwrites the cut's colors."""
+    _color(G, keep, out, budget, depth)
     return Coloring(3, tuple(out[v] for v in iter_bits(keep)))
 
 
@@ -324,7 +332,7 @@ def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:
         return tuple(out)
     if outcome.variant == "p3":
         cut = outcome.p3
-        cols = [_color(G, side | cut.path_mask(), out, budget, depth) for side in cut.sides]
+        cols = [_color_side(G, side | cut.path_mask(), out, budget, depth) for side in cut.sides]
         return combine_p3(G, cut, cols).colors
     if outcome.variant == "clique_cut":
         cut = mask_of(outcome.clique)
@@ -336,7 +344,7 @@ def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:
     else:
         raise NoDecompositionFound("no decomposition applies; input is outside the class")
     for side in sides:
-        col = _color(G, side | cut, out, budget, depth)
+        col = _color_side(G, side | cut, out, budget, depth)
         ids = bit_list(side | cut)
         if outcome.variant == "clique_cut":
             col = _permute_palette(col, {ids.index(u): i for i, u in enumerate(outcome.clique, 1)})

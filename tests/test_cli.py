@@ -423,13 +423,32 @@ def test_graph6_comment_lines_are_skipped(capsys, monkeypatch, tmp_path):
 
 
 def test_report_to_file(capsys, tmp_path):
+    # Every command's report lands in --out and stdout stays empty, except
+    # corpus: its --out holds the graph6 lines and its report is on stdout.
+    corpus = tmp_path / "c5.g6"
+    corpus.write_text(write_graph6(fixture("c5")) + "\n")
     path = tmp_path / "rep.json"
-    code, out, _ = run(["recognize", "fixture:c5", "--out", str(path)], capsys)
-    assert code == 0 and out == ""
-    text = path.read_text()
-    assert text.endswith("\n")
-    rep = json.loads(text)
-    assert rep["command"] == "recognize" and rep["outcome"]["verdict"] == "pentagraph"
+    for argv, want, key, value in (
+        (["recognize", "fixture:c5"], 0, "verdict", "pentagraph"),
+        (["color3", "fixture:petersen"], 0, "verified", True),
+        (["color4", "fixture:c5"], 0, "verified", True),
+        (["color3", "fixture:c7"], 1, "refused", True),
+        (["decompose", "fixture:petersen"], 0, "variant", "petersen"),
+        (["verify", "t12", str(corpus)], 0, "passed", 1),
+        (["oracle", "fixture:c5", "--which", "chromatic"], 0, "chromatic_number", 3),
+    ):
+        code, out, _ = run(argv + ["--out", str(path)], capsys)
+        assert code == want and out == "", argv
+        text = path.read_text()
+        assert text.endswith("\n")
+        rep = report(text)
+        assert rep["command"] == argv[0] and rep["outcome"][key] == value, argv
+
+    code, out, _ = run(["corpus", "--n-max", "3", "--out", str(corpus)], capsys)
+    rep = report(out)
+    assert code == 0 and rep["command"] == "corpus"
+    assert rep["outcome"]["written"] == str(corpus) and rep["outcome"]["total"] == 11
+    assert len(corpus.read_text().splitlines()) == 11
 
 
 def test_unparseable_files_are_parse_errors(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Every name a library module or a test file imports is used in that file,
 every private module-level name of the package is referred to by the
-package itself, not only by tests, and only SearchBudget.spend raises
-SearchBudgetExceeded.
+package itself, not only by tests, only SearchBudget.spend raises
+SearchBudgetExceeded, and only cli.main builds a report.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -96,9 +96,13 @@ def test_every_private_name_is_used_by_the_package():
     assert unreferenced_private_names(sources) == []
 
 
-def budget_raise_sites(source: str) -> list[str]:
-    """The qualified name of the function or method around each statement
-    in ``source`` that raises SearchBudgetExceeded."""
+def _name(node) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def scoped_sites(source: str, hit) -> list[str]:
+    """The qualified name of the function or method around each node of
+    ``source`` for which ``hit(node)`` holds."""
     sites = []
 
     def visit(node, scope):
@@ -106,15 +110,31 @@ def budget_raise_sites(source: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
-                if name == "SearchBudgetExceeded":
-                    sites.append(".".join(scope) or "<module>")
+            elif hit(child):
+                sites.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return sites
+
+
+def budget_raise_sites(source: str) -> list[str]:
+    """Where ``source`` raises SearchBudgetExceeded."""
+
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return _name(exc) == "SearchBudgetExceeded"
+
+    return scoped_sites(source, hit)
+
+
+def report_call_sites(source: str) -> list[str]:
+    """Where ``source`` calls ``_report``."""
+    return scoped_sites(
+        source, lambda node: isinstance(node, ast.Call) and _name(node.func) == "_report"
+    )
 
 
 def test_the_check_sees_a_budget_raise():
@@ -134,3 +154,23 @@ def test_only_search_budget_spend_raises_budget_exhaustion():
         if (found := budget_raise_sites(p.read_text(encoding="utf-8")))
     }
     assert sites == {"structure.py": ["SearchBudget.spend"]}
+
+
+def test_the_check_sees_a_report_call():
+    source = (
+        "def main(args):\n    return _emit(None, _report(args, 'x', {}, False, 0.0))\n\n\n"
+        "class C:\n    def cmd(self, args):\n        cli._report(args)\n\n\n"
+        "_report(None)\n"
+    )
+    assert report_call_sites(source) == ["main", "C.cmd", "<module>"]
+
+
+def test_only_cli_main_builds_a_report():
+    # One report path: commands return their outcome and main() wraps and
+    # writes it, so a change to the report envelope is made in one place.
+    sites = {
+        p.name: found
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (found := report_call_sites(p.read_text(encoding="utf-8")))
+    }
+    assert sites == {"cli.py": ["main"]}

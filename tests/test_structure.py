@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
@@ -156,20 +156,34 @@ def test_enumerate_induced_paths_refuses_a_limit_below_one():
 @st.composite
 def path_queries(draw):
     """A graph, two distinct ends, an interior mask and one combination of
-    the path filters. Half the graphs are arbitrary on at most nine
-    vertices; the others are bipartite on at most twelve plus up to three
-    edges that may close odd cycles, where parity decides most branches."""
-    bipartite = draw(st.booleans())
-    n = draw(st.integers(2, 12 if bipartite else 9))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if bipartite:
-        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        edges = [(u, v) for u, v in pairs if side[u] != side[v] and draw(st.booleans())]
-        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    the path filters. A third of the graphs are arbitrary on at most nine
+    vertices, a third bipartite on at most twelve plus up to three edges
+    that may close odd cycles, where parity decides most branches. The
+    rest are a 5- or 7-cycle through t with a tree holding s hanging off
+    another cycle vertex, all allowed: a path from s reaches t either way
+    round the cycle, so a sweep from t that misses the cycle's edge inside
+    a layer drops the paths of one parity."""
+    kind = draw(st.sampled_from(["any", "bipartite", "cycle"]))
+    if kind == "cycle":
+        length = draw(st.sampled_from([5, 7]))
+        n = length + draw(st.integers(1, 5))
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        edges.append((draw(st.integers(1, length - 1)), length))
+        edges += [(draw(st.integers(length, v - 1)), v) for v in range(length + 1, n)]
+        label = draw(st.permutations(range(n)))
+        edges = [(label[u], label[v]) for u, v in edges]
+        s, t, allowed = label[n - 1], label[0], (1 << n) - 1
     else:
-        edges = [e for e in pairs if draw(st.booleans())]
-    s, t = draw(st.permutations(range(n)))[:2]
-    allowed = draw(st.integers(0, (1 << n) - 1))
+        n = draw(st.integers(2, 12 if kind == "bipartite" else 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if kind == "bipartite":
+            side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            edges = [(u, v) for u, v in pairs if side[u] != side[v] and draw(st.booleans())]
+            edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        else:
+            edges = [e for e in pairs if draw(st.booleans())]
+        s, t = draw(st.permutations(range(n)))[:2]
+        allowed = draw(st.integers(0, (1 << n) - 1))
     options = dict(
         parity=draw(st.sampled_from(["any", "even", "odd"])),
         min_len=draw(st.integers(1, 6)),
@@ -178,8 +192,16 @@ def path_queries(draw):
     return make_graph(n, edges), s, t, allowed, options, draw(st.integers(1, 4))
 
 
+# The 5-cycle 0-1-2-3-4 with the tail 2-5-6: the one odd path from 6 to 0
+# is 6, 5, 2, 3, 4, 0, the long way round, and a sweep from 0 that misses
+# the edge 2-3 inside its last layer finds none.
+C5_WITH_TAIL = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)])
+
+
 @settings(deadline=None, max_examples=300)
 @given(path_queries())
+@example((C5_WITH_TAIL, 6, 0, C5_WITH_TAIL.full_mask(),
+          dict(parity="odd", min_len=1, max_len=None), 1))
 def test_enumerate_induced_paths_is_the_filtered_oracle_in_dfs_order(query):
     # The oracle walks every simple path with no cut, in ascending vertex
     # order; the pruned DFS must list the same paths in the same order,
