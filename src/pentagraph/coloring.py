@@ -103,11 +103,9 @@ def four_color(G: Graph) -> Coloring:
     order, and the first odd one raises InvariantViolation with (layer
     index, odd cycle) as witness.
     """
-    adj = G.adj
     layerings = []
     left = G.full_mask()  # the vertices of components not yet layered
     odd = 0  # the vertices of odd layers
-    inner = [0] * G.n
     while left:
         layers = bfs_layers(G, (left & -left).bit_length() - 1)
         layerings.append(layers)
@@ -115,13 +113,10 @@ def four_color(G: Graph) -> Coloring:
             left ^= layer
             if idx % 2:
                 odd |= layer
-            rest = layer
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                inner[v] = adj[v] & layer
-    check = is_bipartite(Graph(G.n, tuple(inner)))
+    even = ~odd
+    # No edge skips a layer, so same-parity neighbours are same-layer ones.
+    inner = tuple([a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)])
+    check = is_bipartite(Graph(G.n, inner))
     if not check:
         for layers in layerings:
             for idx, layer in enumerate(layers):

@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from .errors import GraphConstructionError, ParseError
 from .graph import HARD_MAX_VERTICES, Graph, make_graph
 
 _G6_HEADER = ">>graph6<<"
+_G6_INVALID = re.compile("[^?-~]")
+# Each graph6 character '?'..'~' carries six bits, most significant first.
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def _g6_char(value: int) -> str:
@@ -45,23 +49,21 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nchars:
         raise ParseError("trailing characters after graph6 body", base + pos + nchars)
-    vals = [_g6_val(ch, base + pos + k) for k, ch in enumerate(body)]
+    bad = _G6_INVALID.search(body)
+    if bad:
+        raise ParseError(f"invalid graph6 character {bad.group()!r}", base + pos + bad.start())
+    bits = body.translate(_G6_BITS)
     # Padding bits live only in the last character.
-    if vals and vals[-1] & ((1 << (6 * nchars - nbits)) - 1):
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits", base + pos + nchars - 1)
     # Bits run over the upper triangle column by column, as write_graph6
-    # emits them: bit k (from the top) is pair (i, j) with k = j(j-1)/2 + i.
-    body_bits = 0
-    for v in vals:
-        body_bits = body_bits << 6 | v
-    top = 6 * nchars - 1
+    # emits them: bit k is pair (i, j) with k = j(j-1)/2 + i.
     edges = []
-    while body_bits:
-        low = body_bits & -body_bits
-        body_bits ^= low
-        k = top - (low.bit_length() - 1)
+    k = bits.find("1")
+    while k >= 0:
         j = (1 + math.isqrt(8 * k + 1)) // 2
         edges.append((k - j * (j - 1) // 2, j))
+        k = bits.find("1", k + 1)
     try:
         # Parsers accept anything up to the hard cap; the default cap only
         # guards graphs built programmatically.
@@ -93,20 +95,10 @@ def write_graph6(G: Graph) -> str:
         head = _g6_char(n)
     else:
         head = "~" + "".join(_g6_char(n >> s & 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        row = G.adj[j]
-        for i in range(j):
-            bits.append(row >> i & 1)
-    out = [head]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        v = 0
-        for b in group:
-            v = v << 1 | b
-        out.append(_g6_char(v))
-    return "".join(out)
+    # Column j lists pairs (0, j) .. (j - 1, j): row j's low bits, lowest first.
+    bits = "".join(format(G.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(_g6_char(int(bits[k : k + 6], 2)) for k in range(0, len(bits), 6))
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -114,7 +106,6 @@ def parse_dimacs(text: str) -> Graph:
     with 1-based endpoints. Comments ("c ...") and blank lines pass;
     duplicate edges collapse silently."""
     n = None
-    declared_m = 0
     edges = []
     offset = 0
     for raw in text.splitlines(keepends=True):
@@ -129,7 +120,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise ParseError("malformed problem line, expected 'p edge n m'", offset)
             n = _dimacs_int(fields[2], offset)
-            declared_m = _dimacs_int(fields[3], offset)
+            _dimacs_int(fields[3], offset)  # m is advisory: duplicates collapse
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", offset)
@@ -145,7 +136,6 @@ def parse_dimacs(text: str) -> Graph:
         offset += len(raw)
     if n is None:
         raise ParseError("missing problem line", 0)
-    del declared_m  # advisory only: duplicates collapse without error
     try:
         return make_graph(n, edges, max_n=HARD_MAX_VERTICES)
     except GraphConstructionError as exc:

@@ -428,12 +428,14 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tupl
 
     Jumps touched by a hole vertex other than their ends and ``across``
     are not enumerated: the proof's star cutsets read none of them. Each
-    pair's search keeps those two neighbourhoods out of its interior, and
-    stays in C's block, where the cycle a jump closes with C lies. The DFS
-    extends in ascending vertex order, so a smaller allowed set only drops
-    subtrees and keeps the order of the paths left. Like every search
-    here, running out of budget raises SearchBudgetExceeded; a partial
-    list is never returned.
+    pair's search keeps those two neighbourhoods out of its interior. The
+    DFS extends in ascending vertex order, so a smaller allowed set only
+    drops subtrees and keeps the order of the paths left. The search never
+    leaves C's block: a child outside it hangs off a cut vertex already on
+    the path, so it cannot reach t through the allowed vertices off the
+    path, and ``_children_reaching_t`` drops it before it costs a step.
+    Like every search here, running out of budget raises
+    SearchBudgetExceeded; a partial list is never returned.
     """
     if C.length != 5:
         raise ContractViolation("jumps are defined over 5-holes")
@@ -442,8 +444,7 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tupl
         budget = SearchBudget.fresh()
     cmask = C.mask()
     cyc = C.vertices
-    block = next(B for B in blocks(G) if cmask & ~B == 0)
-    allowed = block & ~cmask
+    allowed = G.full_mask() & ~cmask
     pairs = []
     for i in range(5):
         s, t = cyc[i], cyc[(i + 2) % 5]
@@ -496,10 +497,9 @@ def contains_induced(
         budget = SearchBudget.fresh()
     order = _search_order(pattern)
     adj = G.adj
-    degrees = [a.bit_count() for a in adj]
     by_degree = [
-        mask_of(h for h, d in enumerate(degrees) if d >= pattern.degree(u))
-        for u in range(pattern.n)
+        mask_of(h for h, a in enumerate(adj) if a.bit_count() >= k)
+        for k in map(pattern.degree, range(pattern.n))
     ]
     # For each position: its vertex, and the earlier vertices it must and
     # must not neighbour.

@@ -49,6 +49,35 @@ from test_graph import rand_graph
 MEMBERS = Path(__file__).resolve().parents[1] / "perfbench" / "members.g6"
 
 
+def pinned_graphs():
+    # Every member on at most six vertices, twenty grown members and two
+    # Petersen copies glued at a vertex.
+    grown = CorpusSpec("random", 1, 40, seed=20260822, target_count=20)
+    graphs = [
+        *generate_corpus(CorpusSpec("exhaustive", 0, 6)),
+        *generate_corpus(grown, SearchBudget(10**9)),
+        glue_petersens_at_vertex(),
+    ]
+    assert len(graphs) == 3797
+    return graphs
+
+
+def member_graphs():
+    lines = [
+        ln for ln in MEMBERS.read_text(encoding="ascii").split("\n")
+        if ln.strip() and not ln.startswith("#")
+    ]
+    assert len(lines) == 128
+    return [parse_graph6(line) for line in lines]
+
+
+def coloring_digest(graphs, color):
+    digest = hashlib.sha256()
+    for G in graphs:
+        digest.update((",".join(map(str, color(G).colors)) + "\n").encode())
+    return digest.hexdigest()
+
+
 def test_verify_coloring_basics():
     G = cycle(5)
     assert verify_coloring(G, Coloring(3, (1, 2, 1, 2, 3)))
@@ -140,6 +169,10 @@ def test_four_color_pentagon_frozen():
     assert four_color(cycle(5)).colors == (1, 3, 1, 2, 3)
     assert four_color(make_graph(3, [])).colors == (1, 1, 1)
     assert four_color(make_graph(0, [])) == Coloring(4, ())
+    # The colorings themselves, not just their properness, are fixed.
+    assert coloring_digest(pinned_graphs() + member_graphs(), four_color) == (
+        "b8da67d8084d38365f68906b355a72b3ac6dc01eebdfeeb053e690cc7d11ce43"
+    )
 
 
 def test_four_color_members_layerwise(random_pentagraphs_20):
@@ -362,20 +395,8 @@ def test_three_color_random_members(random_pentagraphs_20, random_pentagraphs_40
 
 
 def test_three_color_colorings_are_pinned():
-    # Every member on at most six vertices, twenty grown members and two
-    # Petersen copies glued at a vertex: the colorings themselves, not just
-    # their properness, are fixed.
-    grown = CorpusSpec("random", 1, 40, seed=20260822, target_count=20)
-    graphs = [
-        *generate_corpus(CorpusSpec("exhaustive", 0, 6)),
-        *generate_corpus(grown, SearchBudget(10**9)),
-        glue_petersens_at_vertex(),
-    ]
-    assert len(graphs) == 3797
-    digest = hashlib.sha256()
-    for G in graphs:
-        digest.update((",".join(map(str, three_color(G).colors)) + "\n").encode())
-    assert digest.hexdigest() == (
+    # The colorings themselves, not just their properness, are fixed.
+    assert coloring_digest(pinned_graphs(), three_color) == (
         "1c9332600d759d6bd488b280d3be8d4b21945a438f471a7cd2bc2c06e8958d23"
     )
 
@@ -383,16 +404,10 @@ def test_three_color_colorings_are_pinned():
 def test_three_color_members_are_pinned():
     # The benchmark's member corpus reaches decompose's cut arms 167 times:
     # 134 ten-vertex base cases and 33 clique cuts.
-    lines = [
-        ln for ln in MEMBERS.read_text(encoding="ascii").split("\n")
-        if ln.strip() and not ln.startswith("#")
-    ]
-    assert len(lines) == 128
-    digest = hashlib.sha256()
-    for line in lines:
-        col = three_color(parse_graph6(line), SearchBudget(10**9))
-        digest.update((",".join(map(str, col.colors)) + "\n").encode())
-    assert digest.hexdigest() == (
+    def color(G):
+        return three_color(G, SearchBudget(10**9))
+
+    assert coloring_digest(member_graphs(), color) == (
         "ae7a7952336febfcc03782de0779c9f185176e890add9ae260bf6079d0251987"
     )
 

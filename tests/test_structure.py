@@ -20,7 +20,6 @@ from pentagraph import (
     is_linked,
     is_odd_linked,
     make_graph,
-    parse_graph6,
     recognize,
 )
 from pentagraph import structure
@@ -30,7 +29,7 @@ from pentagraph.generate import enumerate_girth5
 from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_steps
 
 from conftest import make_rng, star_gadget
-from test_coloring import MEMBERS
+from test_coloring import member_graphs
 from test_decomposition import glue_petersens_at_vertex
 from test_graph import heawood, rand_graph
 from oracles import (
@@ -446,6 +445,11 @@ def test_bipartite_block_glued_to_odd_block(odd_block, even_block):
     assert hole == find_long_odd_hole(H, alone)
     assert glued.remaining == alone.remaining
     assert holes == five_holes(H)
+    # The jump search never walks into the bipartite block either.
+    for C in holes:
+        alone, glued = SearchBudget(10**6), SearchBudget(10**6)
+        assert find_jumps(G, C, budget=glued) == find_jumps(H, C, budget=alone)
+        assert glued.remaining == alone.remaining
 
 
 def test_linkedness_matches_oracle():
@@ -626,13 +630,9 @@ def test_member_step_ledger():
     # budget per graph and the jumps taken over every 5-hole. A change to
     # a DFS shows its step change here. Before the unbounded DFS swept from
     # t at each node, recognize spent 392,951 steps and find_jumps 648,570.
-    lines = [ln for ln in MEMBERS.read_text(encoding="ascii").split("\n")
-             if ln.strip() and not ln.startswith("#")]
-    assert len(lines) == 128
     ledger = dict.fromkeys(("recognize", "five_holes", "find_jumps", "contains_induced_p2"), 0)
     p2 = fixture("p2")
-    for line in lines:
-        G = parse_graph6(line)
+    for G in member_graphs():
         searches = {
             "recognize": lambda b: recognize(G, b),
             "five_holes": lambda b: five_holes(G, b),
