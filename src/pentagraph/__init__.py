@@ -72,6 +72,7 @@ from .graph import (
     induced_subgraph,
     is_bipartite,
     iter_bits,
+    layer_parity,
     make_graph,
     mask_of,
     shortest_cycle,

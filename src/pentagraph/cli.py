@@ -41,7 +41,7 @@ from .formats import (
     write_graph6,
 )
 from .generate import EXHAUSTIVE_MAX_N, CorpusSpec, generate_corpus
-from .graph import INFINITY, Graph, bit_list, is_bipartite
+from .graph import INFINITY, Graph, bit_list, layer_parity
 from .properties import CHECKS, CheckResult
 from .recognition import (
     INDETERMINATE,
@@ -349,7 +349,7 @@ def cmd_corpus(args):
         for G in stream:
             fh.write(write_graph6(G) + "\n")
             by_n[G.n] = by_n.get(G.n, 0) + 1
-            if is_bipartite(G):
+            if layer_parity(G.adj, G.full_mask())[1]:
                 bipartite_count += 1
     total = stream.produced
     outcome = {

@@ -24,10 +24,12 @@ from .graph import (
     bfs,
     bfs_layers,
     bit_list,
+    components,
     components_within,
     induced_subgraph,
     is_bipartite,
     iter_bits,
+    layer_parity,
     mask_of,
     path_to,
 )
@@ -94,39 +96,31 @@ def four_color(G: Graph) -> Coloring:
     """Layered 4-coloring: 2-color each breadth-first layer, palette {1,2}
     on even layers and {3,4} on odd ones.
 
-    Works per component (source = least vertex), layering each once. One
-    is_bipartite call on the graph of the edges inside layers 2-colors
-    every layer at once; it seeds each layer's vertices in ascending order,
-    as a search per layer would, so the sides are the same. A layer
+    Works per component (source = least vertex). One layer_parity call
+    on G gives the odd layers; a second, on the edges inside layers, gives
+    each layer's sides, and it seeds each layer's vertices in ascending
+    order, as a search per layer would, so the sides are the same. A layer
     inducing a non-bipartite subgraph means the input was not in the
     class; then the layers are checked one by one, in (component, layer)
     order, and the first odd one raises InvariantViolation with (layer
     index, odd cycle) as witness.
     """
-    layerings = []
-    left = G.full_mask()  # the vertices of components not yet layered
-    odd = 0  # the vertices of odd layers
-    while left:
-        layers = bfs_layers(G, (left & -left).bit_length() - 1)
-        layerings.append(layers)
-        for idx, layer in enumerate(layers):
-            left ^= layer
-            if idx % 2:
-                odd |= layer
+    full = G.full_mask()
+    odd = layer_parity(G.adj, full)[0]  # the vertices of odd layers
     even = ~odd
     # No edge skips a layer, so same-parity neighbours are same-layer ones.
-    inner = tuple([a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)])
-    check = is_bipartite(Graph(G.n, inner))
-    if not check:
-        for layers in layerings:
-            for idx, layer in enumerate(layers):
+    inner = [a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)]
+    side, flat = layer_parity(inner, full)
+    if not flat:
+        for comp in components(G):
+            for idx, layer in enumerate(bfs_layers(G, (comp & -comp).bit_length() - 1)):
                 one = is_bipartite(G, within=layer)
                 if not one:
                     raise InvariantViolation(
                         f"layer {idx} induces an odd cycle", (idx, one.odd_cycle)
                     )
     coloring = Coloring(
-        4, tuple(1 + 2 * (odd >> v & 1) + side for v, side in enumerate(check.two_coloring))
+        4, tuple([1 + 2 * (odd >> v & 1) + (side >> v & 1) for v in range(G.n)])
     )
     if not verify_coloring(G, coloring):
         raise InvariantViolation("layered coloring came out improper")
@@ -288,10 +282,10 @@ def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int
         raise InvariantViolation("coloring recursion exceeded its depth bound")
     adj = G.adj
     for comp in components_within(G, keep):
-        check = is_bipartite(G, within=comp)
-        if check:
+        odd, flat = layer_parity(adj, comp)
+        if flat:
             for v in iter_bits(comp):
-                out[v] = check.two_coloring[v] + 1
+                out[v] = 1 + (odd >> v & 1)
             continue
         low = next((v for v in iter_bits(comp) if (adj[v] & comp).bit_count() <= 2), None)
         if low is not None:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import ContractViolation, InvariantViolation
 from .fixtures import petersen
-from .graph import Graph, bit_list, components_within, is_bipartite, iter_bits, mask_of
+from .graph import Graph, bit_list, components_within, iter_bits, layer_parity, mask_of
 from .structure import (
     Embedding,
     Hole,
@@ -322,16 +322,16 @@ def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutc
     the sub-searches propagates; none_found is reachable only for inputs
     outside the class.
     """
-    if budget is None:
-        budget = SearchBudget.fresh()
-    check = is_bipartite(G)
-    if check:
+    odd, flat = layer_parity(G.adj, G.full_mask())
+    if flat:
         return DecompositionOutcome(
-            "bipartite", two_coloring=tuple(c + 1 for c in check.two_coloring)
+            "bipartite", two_coloring=tuple([1 + (odd >> v & 1) for v in range(G.n)])
         )
     v = find_low_degree(G)
     if v is not None:
         return DecompositionOutcome("low_degree", vertex=v)
+    if budget is None:
+        budget = SearchBudget.fresh()
     if G.n == 10 and G.edge_count() == 15:
         emb = contains_induced(G, petersen(), budget)
         if emb is not None:

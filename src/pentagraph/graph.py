@@ -310,42 +310,63 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
     ``within``. The witness is a vertex sequence whose consecutive pairs
     (cyclically) are edges and whose length is odd.
     """
-    # A search of its own rather than bfs(): it colors as it goes and stops
-    # at the first edge inside one side. Each scan takes its uncolored
-    # neighbours as one mask and tests the rest against the scanned
-    # vertex's side as one mask; the least neighbour on that side is the
-    # one a scan neighbour by neighbour would stop at.
+    # layer_parity decides and colors. Only a failure searches again: bfs()
+    # from each component's least vertex in turn, up to the first vertex in
+    # queue order with a neighbour in its own layer, closed by the least
+    # such neighbour. Same-parity neighbours of a vertex are same-layer ones.
     adj = G.adj
     within = G.full_mask() if within is None else within & G.full_mask()
-    side = [-1] * G.n
-    parent = [-1] * G.n
-    left = within  # not yet colored
-    ones = 0  # colored 1
-    while left:
-        s = (left & -left).bit_length() - 1
-        left ^= 1 << s
-        side[s] = 0
-        queue = [s]
-        for x in queue:
-            sx = side[x]
-            near = adj[x] & within
-            new = near & left
-            if new:
-                left ^= new
-                if not sx:
-                    ones |= new
-                while new:
-                    low = new & -new
-                    new ^= low
-                    y = low.bit_length() - 1
-                    side[y] = sx ^ 1
-                    parent[y] = x
-                    queue.append(y)
-            clash = near & ones if sx else near & ~(left | ones)
+    odd, flat = layer_parity(adj, within)
+    if flat:
+        return BipartiteCheck(
+            tuple([odd >> v & 1 if within >> v & 1 else -1 for v in range(G.n)]), None
+        )
+    even = within & ~odd
+    left = within
+    while True:
+        _, parent, order = bfs(G, left & -left, within)
+        for x in order:
+            clash = adj[x] & (odd if odd >> x & 1 else even)
             if clash:
                 y = (clash & -clash).bit_length() - 1
                 return BipartiteCheck(None, _odd_walk(parent, x, y))
-    return BipartiteCheck(tuple(side), None)
+        left &= ~mask_of(order)
+
+
+def layer_parity(adj, within: int) -> tuple[int, bool]:
+    """Breadth-first layers of the subgraph that the adjacency masks ``adj``
+    induce on ``within``, one component at a time from its least vertex.
+
+    Returns ``(odd, flat)``: ``odd`` is the mask of the vertices at odd
+    distance from that least vertex, and ``flat`` is true exactly when no
+    edge joins two vertices of one layer, that is, when the subgraph is
+    bipartite; then ``odd`` is the side is_bipartite colors 1.
+    """
+    # Whole frontiers as masks, as in _frontiers; a layer holds an edge
+    # exactly when the neighbours of its vertices meet it.
+    odd = 0
+    flat = True
+    left = within
+    while left:
+        seen = frontier = left & -left
+        parity = 0
+        while frontier:
+            nxt = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nxt |= adj[low.bit_length() - 1]
+            nxt &= left
+            if nxt & frontier:
+                flat = False
+            if parity:
+                odd |= frontier
+            parity ^= 1
+            frontier = nxt & ~seen
+            seen |= frontier
+        left &= ~seen
+    return odd, flat
 
 
 def _odd_walk(parent: list[int], x: int, y: int) -> tuple[int, ...]:
@@ -413,12 +434,15 @@ def girth(G: Graph):
     root leaves the later sweeps, since the least vertex of a shortest
     cycle is swept while the whole cycle is still inside.
     """
+    adj = G.adj
     best = INFINITY
     allowed = G.full_mask()
     for root in range(G.n):
-        best = _sweep(G.adj, allowed, root, best)
-        if best == 3:
-            break
+        # A cycle through root uses two of its neighbours: with fewer left, skip.
+        if (adj[root] & allowed).bit_count() > 1:
+            best = _sweep(adj, allowed, root, best)
+            if best == 3:
+                break
         allowed ^= 1 << root
     return best
 

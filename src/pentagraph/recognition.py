@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SearchBudgetExceeded
-from .graph import INFINITY, Graph, canonical_cycle, girth, is_bipartite, iter_bits, shortest_cycle
+from .graph import INFINITY, Graph, canonical_cycle, girth, iter_bits, layer_parity, shortest_cycle
 from .structure import SearchBudget, find_long_odd_hole
 
 PENTAGRAPH = "pentagraph"
@@ -52,7 +52,7 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     runs only on a graph that is not.
     """
     g = girth(G)
-    bip = bool(is_bipartite(G))
+    bip = layer_parity(G.adj, G.full_mask())[1]
     if g < 5:
         cyc = shortest_cycle(G)
         return RecognitionReport(

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ContractViolation, InvariantViolation, SearchBudgetExceeded
-from .graph import Graph, _frontiers, bit_list, blocks, is_bipartite, iter_bits, mask_of
+from .graph import Graph, _frontiers, bit_list, blocks, iter_bits, layer_parity, mask_of
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -333,7 +333,7 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
     full = G.full_mask()
     least = min_len + 2
     big = [
-        B for B in blocks(G) if B.bit_count() >= least and not is_bipartite(G, within=B)
+        B for B in blocks(G) if B.bit_count() >= least and not layer_parity(adj, B)[1]
     ]
     for a in range(G.n):
         at_a = [B for B in big if B >> a & 1]

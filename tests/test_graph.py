@@ -24,6 +24,7 @@ from pentagraph import (
     induced_subgraph,
     is_bipartite,
     iter_bits,
+    layer_parity,
     make_graph,
     mask_of,
     shortest_cycle,
@@ -275,6 +276,51 @@ def test_is_bipartite_within_a_subset():
             assert all(col[u] != col[v] for u, v in H.edges())
         else:
             assert all(within >> v & 1 for v in check.odd_cycle)
+
+
+def test_is_bipartite_answers_pinned():
+    # The 2-colouring, or the odd closed walk, of seeded G(n, p) graphs, half
+    # of them inside a random vertex mask, pinned by hash. The walk is the
+    # one closed at the first edge inside a layer in queue order, so a mask
+    # with a bipartite component before an odd one must get past the first.
+    rng = make_rng("bipartite-digest")
+    digest = hashlib.sha256()
+    late_odd = 0  # odd cases whose first component is bipartite
+    for i in range(3000):
+        n = rng.randrange(1, 31)
+        G = rand_graph(rng, n, rng.choice((0.05, 0.1, 0.2, 0.3)))
+        within = rng.randrange(1 << n) if i % 2 else None
+        check = is_bipartite(G, within=within)
+        digest.update(repr((check.two_coloring, check.odd_cycle)).encode() + b"\n")
+        if not check:
+            first = components_within(G, G.full_mask() if within is None else within)[0]
+            late_odd += nx.is_bipartite(to_nx(G).subgraph(bit_list(first)))
+    assert late_odd >= 100
+    assert digest.hexdigest() == (
+        "6749cfd8dd9986c49350e55f0cf318ae42c85aa20574904d91de3cde34dd0592"
+    )
+
+
+@st.composite
+def masked_graphs(draw):
+    # Random graphs, often with several components, inside a random mask.
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    within = draw(st.integers(0, (1 << n) - 1))
+    return make_graph(n, edges), within
+
+
+@settings(deadline=None, max_examples=300)
+@given(masked_graphs())
+def test_layer_parity_agrees_with_is_bipartite(case):
+    G, within = case
+    odd, flat = layer_parity(G.adj, within)
+    check = is_bipartite(G, within=within)
+    # is_bipartite is built on the kernel, so the truth comes from networkx.
+    assert flat == bool(check) == nx.is_bipartite(to_nx(G).subgraph(bit_list(within)))
+    if check:
+        assert odd == mask_of(v for v, side in enumerate(check.two_coloring) if side == 1)
 
 
 def test_canonical_cycle():
