@@ -120,10 +120,6 @@ class Embedding:
                     raise InvariantViolation(f"adjacency mismatch at pattern pair ({u}, {v})")
 
 
-class _LimitReached(Exception):
-    pass
-
-
 def enumerate_induced_paths(
     G: Graph,
     s: int,
@@ -171,8 +167,12 @@ def enumerate_induced_paths(
     show that a long odd hole can be found in polynomial time ("Detecting a
     long odd hole", Combinatorica 2021); this DFS does not attempt that.
 
-    Each DFS node costs one budget step, and the sweeps cost none;
-    exhausting the budget raises SearchBudgetExceeded, it never silently
+    The DFS is one loop over an explicit stack, so its depth is not bound by
+    Python's recursion limit. Each DFS node costs one budget step, and the
+    sweeps cost none. The steps are counted locally and charged once per
+    call, which raises at the same node, with the same ``remaining``, as a
+    charge per node would: nothing else spends the budget during the call.
+    Exhausting the budget raises SearchBudgetExceeded, it never silently
     returns a partial answer.
     """
     if s == t:
@@ -203,10 +203,18 @@ def enumerate_induced_paths(
             near[k] = ball
     parity_bit = {"even": 0, "odd": 1}.get(parity)
     results: list[InducedPath] = []
+    # The node is the path's last vertex, entered with the excluded set
+    # excl; stack[i] is (blocked, children not yet tried) of path[i], one
+    # frame per path vertex but the last.
     path = [s]
-
-    def extend(last: int, excl: int) -> None:
-        budget.spend()
+    stack: list[tuple[int, int]] = []
+    last, excl = s, 1 << s
+    cap = budget.remaining
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > cap:
+            budget.spend(nodes)  # raises, as a charge per node would here
         cand = adj[last] & ~excl
         if cand & tbit:
             edges = len(path)
@@ -217,31 +225,32 @@ def enumerate_induced_paths(
             ):
                 results.append(InducedPath(tuple(path) + (t,)))
                 if limit is not None and len(results) >= limit:
-                    raise _LimitReached
+                    break
             # t joins the excluded set of every extension: no path below.
-            return
-        blocked = excl | adj[last]
-        if near is None:
-            rest = cand & allowed
-            if rest:
-                # A child z completes the path with 1 + d more edges through
-                # layer d, so the wanted layers have d = parity - len(path) - 1.
-                want = None if parity_bit is None else (parity_bit ^ len(path) ^ 1) & 1
-                rest = _children_reaching_t(adj, tbit, allowed & ~blocked, rest, want)
+            rest = 0
         else:
-            rest = cand & near[len(path)]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            z = low.bit_length() - 1
-            path.append(z)
-            extend(z, blocked | low)
+            blocked = excl | adj[last]
+            if near is None:
+                rest = cand & allowed
+                if rest:
+                    # A child z completes the path with 1 + d more edges through
+                    # layer d, so the wanted layers have d = parity - len(path) - 1.
+                    want = None if parity_bit is None else (parity_bit ^ len(path) ^ 1) & 1
+                    rest = _children_reaching_t(adj, tbit, allowed & ~blocked, rest, want)
+            else:
+                rest = cand & near[len(path)]
+        while not rest:
+            if not stack:
+                budget.spend(nodes)
+                return results
             path.pop()
-
-    try:
-        extend(s, 1 << s)
-    except _LimitReached:
-        pass
+            blocked, rest = stack.pop()
+        low = rest & -rest
+        stack.append((blocked, rest ^ low))
+        last = low.bit_length() - 1
+        excl = blocked | low
+        path.append(last)
+    budget.spend(nodes)
     return results
 
 

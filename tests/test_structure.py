@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -233,6 +236,8 @@ def test_enumerate_induced_paths_exhausts_exactly_past_its_steps(query, data):
     if cap < spent:
         with pytest.raises(SearchBudgetExceeded):
             enumerate_induced_paths(G, s, t, allowed, limit=k, budget=budget, **options)
+        # The step that raises is the only overdraw.
+        assert budget.remaining == -1
     else:
         got = enumerate_induced_paths(G, s, t, allowed, limit=k, budget=budget, **options)
         assert got == want and budget.remaining == cap - spent
@@ -249,6 +254,27 @@ def test_enumerate_induced_paths_skips_what_hangs_off_a_neighbor_of_t():
         paths = enumerate_induced_paths(G, 0, 2, G.full_mask(), budget=budget)
         assert [p.vertices for p in paths] == [(0, 1, 2)]
         assert budget.remaining == 8
+
+
+def test_enumerate_induced_paths_needs_no_frame_per_path_vertex():
+    # On the 128-cycle the long 0-2 path has 126 edges. The DFS keeps its
+    # path on a stack of its own, so 30 frames above the caller's suffice.
+    # Its 127 nodes are s, 1 (adjacent to t) and 127 down to 3.
+    ring = make_graph(128, [(v, (v + 1) % 128) for v in range(128)], max_n=128)
+    longest = (0,) + tuple(range(127, 1, -1))
+    for max_len in (None, 126):
+        budget = SearchBudget(1000)
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        try:
+            sys.setrecursionlimit(depth + 30)
+            paths = enumerate_induced_paths(
+                ring, 0, 2, ring.full_mask(), max_len=max_len, budget=budget
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [p.vertices for p in paths] == [(0, 1, 2), longest]
+        assert budget.remaining == 1000 - 127
 
 
 def test_enumerate_induced_paths_with_max_len_skips_what_cannot_reach_t():
