@@ -155,28 +155,20 @@ def verify_parity_star_cutset(
     comps = components_within(G, remainder)
     if len(comps) < 2:
         return None
-    leaf_list = bit_list(leaves)
-    qualifying = []
-    for comp in comps:
-        ok = True
-        for i, l1 in enumerate(leaf_list):
-            for l2 in leaf_list[i + 1 :]:
-                found = enumerate_induced_paths(
-                    G, l1, l2, comp, parity="even", min_len=2, limit=1, budget=budget
-                )
-                if not found:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            qualifying.append(comp)
+    qualifying = [
+        comp
+        for comp in comps
+        if all(
+            enumerate_induced_paths(
+                G, l1, l2, comp, parity="even", min_len=2, limit=1, budget=budget
+            )
+            for l1, l2 in combinations(bit_list(leaves), 2)
+        )
+    ]
     if not qualifying:
         return None
-    for comp in qualifying:
-        if G.adj[center] & comp:
-            return ParityStarCutset(center, leaves, comp, True, tuple(comps))
-    return ParityStarCutset(center, leaves, qualifying[0], False, tuple(comps))
+    strong = [comp for comp in qualifying if G.adj[center] & comp]
+    return ParityStarCutset(center, leaves, (strong or qualifying)[0], bool(strong), tuple(comps))
 
 
 def _strong_star(

@@ -22,7 +22,12 @@ INFINITY = math.inf
 
 
 def iter_bits(mask: int):
-    """Yield the indices of the set bits of ``mask`` in ascending order."""
+    """Yield the indices of the set bits of ``mask`` in ascending order.
+
+    A negative mask has infinitely many set bits and raises
+    ContractViolation before anything is yielded."""
+    if mask < 0:
+        raise ContractViolation("a vertex mask cannot be negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -70,9 +75,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
 
@@ -94,9 +96,6 @@ class Graph:
                 rest >>= 1
                 v += 1
         return out
-
-    def neighbors(self, v: int) -> list[int]:
-        return bit_list(self.adj[v])
 
 
 def make_graph(n: int, edges, max_n: int | None = None) -> Graph:
@@ -336,6 +335,7 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
 def layer_parity(adj, within: int) -> tuple[int, bool]:
     """Breadth-first layers of the subgraph that the adjacency masks ``adj``
     induce on ``within``, one component at a time from its least vertex.
+    Bits of ``within`` that name no vertex are ignored.
 
     Returns ``(odd, flat)``: ``odd`` is the mask of the vertices at odd
     distance from that least vertex, and ``flat`` is true exactly when no
@@ -346,7 +346,7 @@ def layer_parity(adj, within: int) -> tuple[int, bool]:
     # exactly when the neighbours of its vertices meet it.
     odd = 0
     flat = True
-    left = within
+    left = within & ((1 << len(adj)) - 1)
     while left:
         seen = frontier = left & -left
         parity = 0

@@ -407,10 +407,6 @@ class Jump:
         """The jump's kind: "short" for length exactly 3, "local" for longer."""
         return "short" if self.path.length == 3 else "local"
 
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.path.ends
-
     def validate(self, G: Graph) -> None:
         self.path.validate(G)
         s, t = self.path.ends

@@ -1,12 +1,13 @@
 import hashlib
 import inspect
+import itertools
 import math
 import random
 import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
@@ -60,6 +61,13 @@ def test_mask_helpers():
     assert bit_list(mask_of(range(5))) == [0, 1, 2, 3, 4]
 
 
+def test_iter_bits_refuses_a_negative_mask():
+    # A negative int has infinitely many set bits: the walk raises before
+    # its first index instead of counting up for ever.
+    with pytest.raises(ContractViolation):
+        list(itertools.islice(iter_bits(-1), 8))
+
+
 def test_make_graph_validation():
     with pytest.raises(GraphConstructionError):
         make_graph(3, [(1, 1)])
@@ -82,12 +90,12 @@ def test_graph_basics():
     assert G.edges() == [(0, 1), (1, 2)]
     assert G.has_edge(1, 0) and G.has_edge(1, 2) and not G.has_edge(0, 2)
     assert G.degree(1) == 2 and G.degree(3) == 0
-    assert G.neighbors(1) == [0, 2]
+    assert bit_list(G.adj[1]) == [0, 2]
     assert G == make_graph(4, [(1, 2), (0, 1)])
     assert hash(G) == hash(make_graph(4, [(1, 2), (0, 1)]))
     assert G != make_graph(5, [(0, 1), (1, 2)])
     assert G.full_mask() == 0b1111
-    assert list(G.vertices()) == [0, 1, 2, 3]
+    assert list(range(G.n)) == [0, 1, 2, 3]
 
 
 def test_induced_subgraph_relabeling():
@@ -321,6 +329,17 @@ def test_layer_parity_agrees_with_is_bipartite(case):
     assert flat == bool(check) == nx.is_bipartite(to_nx(G).subgraph(bit_list(within)))
     if check:
         assert odd == mask_of(v for v, side in enumerate(check.two_coloring) if side == 1)
+
+
+@settings(deadline=None, max_examples=300)
+@given(masked_graphs(), st.integers() | st.integers(-(1 << 200), 1 << 200))
+@example((fixture("c5"), 0), 1 << 5)
+@example((fixture("c5"), 0), -1)
+def test_layer_parity_ignores_bits_that_name_no_vertex(case, w):
+    # Any int is accepted as ``within``: its bits at or above n, and the
+    # infinitely many of a negative int, are dropped on entry.
+    G, _ = case
+    assert layer_parity(G.adj, w) == layer_parity(G.adj, w & G.full_mask())
 
 
 def test_canonical_cycle():

@@ -1,7 +1,8 @@
 """Every name a library module or a test file imports is used in that file,
 every private module-level name of the package is referred to by the
 package itself, not only by tests, only SearchBudget.spend raises
-SearchBudgetExceeded, and only cli.main builds a report.
+SearchBudgetExceeded, only cli.main builds a report, and the theorem
+checkers run no induced-path search of their own.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -174,3 +175,32 @@ def test_only_cli_main_builds_a_report():
         if (found := report_call_sites(p.read_text(encoding="utf-8")))
     }
     assert sites == {"cli.py": ["main"]}
+
+
+def raw_search_sites(source: str) -> list[str]:
+    """Where ``source`` imports or reads ``enumerate_induced_paths``."""
+
+    def hit(node):
+        if isinstance(node, ast.alias):
+            return node.name.rsplit(".", 1)[-1] == "enumerate_induced_paths"
+        return _name(node) == "enumerate_induced_paths"
+
+    return scoped_sites(source, hit)
+
+
+def test_the_check_sees_a_raw_search():
+    source = (
+        "from .structure import enumerate_induced_paths as paths, find_jumps\n"
+        "from . import structure\n\n\n"
+        "def check(G):\n"
+        "    return structure.enumerate_induced_paths(G, 0, 1, 3)\n"
+    )
+    assert raw_search_sites(source) == ["<module>", "check"]
+    assert raw_search_sites("from .structure import find_jumps\n") == []
+
+
+def test_the_checkers_call_no_raw_path_search():
+    # The theorem checkers read library answers (holes, jumps, cutsets),
+    # so a checker and the code it checks cannot drift apart.
+    source = (PACKAGE / "properties.py").read_text(encoding="utf-8")
+    assert raw_search_sites(source) == []

@@ -2,10 +2,14 @@
 extension test for graphs holding the eight-vertex fixture, and the jump
 pair test."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from pentagraph import (
     CHECKS,
+    PENTAGRAPH,
     InvariantViolation,
     SearchBudget,
     check_decomposition,
@@ -13,16 +17,19 @@ from pentagraph import (
     check_local_jump_pairs,
     check_p2_extension,
     contains_induced,
+    distance,
     enumerate_induced_paths,
     five_holes,
     is_isomorphic,
     make_graph,
     mask_of,
     naive_recognize,
+    recognize,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
 
-from conftest import star_gadget
+from conftest import make_rng, star_gadget
+from test_coloring import member_graphs
 from test_decomposition import glue_petersens_at_vertex
 
 
@@ -195,3 +202,55 @@ def test_jump_pairs_raises_on_even_local_jump():
     assert naive_recognize(G).verdict == "not_pentagraph"
     with pytest.raises(InvariantViolation):
         check_local_jump_pairs(G)
+
+
+def distance_rule_graph(rng):
+    """A random graph on 6..16 vertices of girth at least five: each
+    shuffled pair, kept with probability 0.3, becomes an edge when its ends
+    are at distance at least four. Nothing probes for odd holes."""
+    n = rng.randint(6, 16)
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    edges = []
+    for u, v in pairs:
+        if rng.random() < 0.3 and distance(make_graph(n, edges), u, v) >= 4:
+            edges.append((u, v))
+    return make_graph(n, edges)
+
+
+def off_class_graphs(count, tag):
+    rng = make_rng(tag)
+    out = []
+    while len(out) < count:
+        G = distance_rule_graph(rng)
+        if recognize(G).verdict != PENTAGRAPH:
+            out.append(G)
+    return out
+
+
+def jump_pairs_digest(graphs):
+    digest = hashlib.sha256()
+    for G in graphs:
+        try:
+            r = check_local_jump_pairs(G)
+            outcome = (r.ok, r.indeterminate, r.detail, r.witness)
+        except InvariantViolation as e:
+            outcome = (str(e), e.witness)
+        digest.update(f"{outcome!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_jump_pairs_are_pinned():
+    # Every verdict, detail and witness of t31, raised errors included: on
+    # the benchmark's members, on off-class graphs of girth at least five
+    # (most raise on an even local jump, a few fail a qualifying pair) and
+    # on the clash gadget.
+    assert jump_pairs_digest(member_graphs()) == (
+        "f58372ff4c5cb01b8fa3ca23a3d8f1d4b4c5ea0b18e71c3d3158aa86678ca2db"
+    )
+    assert jump_pairs_digest(off_class_graphs(200, "t31-off-class")) == (
+        "c3ce8eabef4d03c47535e725f414bcb89fc7e0dc7331463b1548f96c837e5b02"
+    )
+    assert jump_pairs_digest([jump_clash_gadget()]) == (
+        "4a94690d257ac6e4ab95e5fc79a2ea2c493a107af7fac4da127416ad8baea2d9"
+    )

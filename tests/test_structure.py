@@ -520,7 +520,7 @@ def test_find_jumps_short():
     assert j.kind == "short"
     assert j.across == 0
     assert j.path.vertices == (1, 5, 6, 4)
-    assert j.ends == (1, 4)
+    assert j.path.ends == (1, 4)
     j.validate(G)
 
 
