@@ -4,11 +4,13 @@ with Kempe-exchange recombination, and a brute-force oracle.
 The 3-coloring recursion colors vertex sets of the input graph into one
 array, one component at a time, and copies a subgraph only to cut a
 component that is neither bipartite nor has a vertex of degree at most two.
-The sides of a clique or star cutset are each colored with the cut and
-fitted to it, and the merged coloring is verified. Both top-level colorers
-verify properness before returning. Recombination steps that would only
-fail on inputs outside the class raise InvariantViolation carrying the
-offending structure instead of returning a bad coloring.
+Below that copy a coloring is one color per vertex of the copy, 0 for an
+uncolored vertex: each side of a cut is colored with the cut into a fresh
+array, fitted to the cut in those ids and merged, and the merged coloring
+is verified. Both top-level colorers verify properness before returning.
+Recombination steps that would only fail on inputs outside the class raise
+InvariantViolation carrying the offending structure instead of returning a
+bad coloring.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .graph import (
     Graph,
     bfs,
     bfs_layers,
-    bit_list,
     components,
     components_within,
     induced_subgraph,
@@ -38,7 +39,7 @@ from .structure import SearchBudget
 
 @dataclass(frozen=True)
 class Coloring:
-    """A total color assignment, colors[v] in 1..k."""
+    """A color assignment, colors[v] in 1..k; 0 marks an uncolored vertex."""
 
     k: int
     colors: tuple[int, ...]
@@ -48,13 +49,20 @@ def verify_coloring(G: Graph, c: Coloring) -> bool:
     """True iff proper, that is, no vertex has a neighbour in its own color
     class, tested with one mask per class; raises on assignments that are
     not total maps into 1..k."""
+    return _is_proper(G, c, 1)
+
+
+def _is_proper(G: Graph, c: Coloring, least: int) -> bool:
+    """verify_coloring's test on colors in least..k; color 0, allowed when
+    least is 0, marks an uncolored vertex, which clashes with nothing."""
     if len(c.colors) != G.n:
         raise ContractViolation("assignment must cover every vertex exactly once")
     classes: dict[int, int] = {}
     for v, col in enumerate(c.colors):
-        if not 1 <= col <= c.k:
-            raise ContractViolation(f"colors must lie in 1..{c.k}")
+        if not least <= col <= c.k:
+            raise ContractViolation(f"colors must lie in {least}..{c.k}")
         classes[col] = classes.get(col, 0) | 1 << v
+    classes[0] = 0
     adj = G.adj
     for v, col in enumerate(c.colors):
         if adj[v] & classes[col]:
@@ -135,13 +143,13 @@ PETERSEN_COLORING = (1, 2, 1, 2, 3, 2, 3, 3, 1, 1)
 def combine_p3(G: Graph, cut: P3Cutset, side_colorings: list[Coloring]) -> Coloring:
     """Merge per-side 3-colorings of a P3-cutset into one for G.
 
-    Side i colors G[sides[i] plus the cut path]. Palettes are permuted so
-    every side sends v1 to 1 and v2 to 2; each side then gives v3 either 1
-    or 3. A side where v1 and v3 share a {1,3}-Kempe component is stuck
-    with its value; other sides can be flipped at v3. If two stuck sides
-    disagree, their connecting paths close an odd induced cycle of length
-    at least seven, which raises InvariantViolation (input outside the
-    class).
+    Side i colors sides[i] and the cut path, in G's ids, and leaves every
+    other vertex at 0. Palettes are permuted so every side sends v1 to 1
+    and v2 to 2; each side then gives v3 either 1 or 3. A side where v1
+    and v3 share a {1,3}-Kempe component is stuck with its value; other
+    sides can be flipped at v3. If two stuck sides disagree, their
+    connecting paths close an odd induced cycle of length at least seven,
+    which raises InvariantViolation (input outside the class).
     """
     cut.validate(G)
     if len(side_colorings) != len(cut.sides):
@@ -150,50 +158,45 @@ def combine_p3(G: Graph, cut: P3Cutset, side_colorings: list[Coloring]) -> Color
     pmask = cut.path_mask()
     sides = []
     for mask, col in zip(cut.sides, side_colorings):
-        sub, old_ids = induced_subgraph(G, mask | pmask)
-        if col.k != 3 or not verify_coloring(sub, col):
-            raise ContractViolation("side colorings must be proper with three colors")
-        pos = {old: new for new, old in enumerate(old_ids)}
-        col = _permute_palette(col, {pos[v1]: 1, pos[v2]: 2})
-        stuck = kempe_component(sub, col, (1, 3), pos[v3]) >> pos[v1] & 1
-        sides.append((sub, old_ids, pos, col, bool(stuck)))
+        if (col.k != 3 or not _is_proper(G, col, 0)
+                or _class_mask(col, (0,)) != G.full_mask() & ~(mask | pmask)):
+            raise ContractViolation(
+                "each side coloring must be a proper 3-coloring of exactly its side and the path"
+            )
+        col = _permute_palette(col, {v1: 1, v2: 2})
+        sides.append((col, kempe_component(G, col, (1, 3), v3) >> v1 & 1))
 
-    stuck_values = {s[3].colors[s[2][v3]] for s in sides if s[4]}
+    stuck_values = {col.colors[v3] for col, stuck in sides if stuck}
     if len(stuck_values) > 1:
         raise InvariantViolation(
             "sides force both parities at the cut path's end",
-            tuple(_alternating_path(s[0], s[3], s[2][v1], s[2][v3], s[1]) for s in sides if s[4]),
+            tuple(_alternating_path(G, col, v1, v3) for col, stuck in sides if stuck),
         )
     target = stuck_values.pop() if stuck_values else 1
 
-    out = [0] * G.n
-    out[v1], out[v2], out[v3] = 1, 2, target
-    for sub, old_ids, pos, col, stuck in sides:
-        if col.colors[pos[v3]] != target:
-            col = kempe_swap(sub, col, (1, 3), pos[v3])
-        for new, old in enumerate(old_ids):
-            out[old] = col.colors[new]
-    merged = Coloring(3, tuple(out))
+    fitted = [col if col.colors[v3] == target else kempe_swap(G, col, (1, 3), v3)
+              for col, _ in sides]
+    # The fitted sides agree on the path and are 0 off it and their side.
+    merged = Coloring(3, tuple(map(max, *(col.colors for col in fitted))))
     if not verify_coloring(G, merged):
         raise InvariantViolation("merged coloring improper; sides were inconsistent")
     return merged
 
 
 def _permute_palette(c: Coloring, want: dict[int, int]) -> Coloring:
-    """Least palette permutation sending each anchor vertex to its target."""
+    """Least palette permutation sending each anchor vertex to its target;
+    color 0 stays 0."""
     for perm in permutations(range(1, c.k + 1)):
-        if all(perm[c.colors[v] - 1] == target for v, target in want.items()):
-            return Coloring(c.k, tuple(perm[col - 1] for col in c.colors))
+        to = (0, *perm)
+        if all(to[c.colors[v]] == target for v, target in want.items()):
+            return Coloring(c.k, tuple(to[col] for col in c.colors))
     raise ContractViolation("no palette permutation satisfies the anchors")
 
 
-def _alternating_path(
-    sub: Graph, col: Coloring, s: int, t: int, old_ids: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Shortest path from s to t inside the {1,3}-colored subgraph,
-    reported in the parent graph's vertex ids."""
-    _, parent, _ = bfs(sub, 1 << s, _class_mask(col, (1, 3)))
-    return tuple(old_ids[v] for v in path_to(parent, t))
+def _alternating_path(G: Graph, col: Coloring, s: int, t: int) -> tuple[int, ...]:
+    """Shortest path from s to t inside the {1,3}-colored subgraph."""
+    _, parent, _ = bfs(G, 1 << s, _class_mask(col, (1, 3)))
+    return tuple(path_to(parent, t))
 
 
 def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
@@ -206,14 +209,15 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
     3-leaf also holds a 2-leaf, a shortest leaf-to-leaf path in the
     {2,3}-subgraph is odd with interior outside the cutset, certifying an
     invalid cutset or an input outside the class; InvariantViolation
-    carries that path.
+    carries that path. Vertices at 0 are uncolored: they join no Kempe
+    component and stay 0, but the center and the leaves must be colored.
     """
     if not 0 <= v < Gi.n:
         raise ContractViolation(f"{v} is not a vertex of the graph")
     if X & ~Gi.adj[v]:
         raise ContractViolation("the center must be adjacent to every leaf")
-    if c.k != 3 or not verify_coloring(Gi, c):
-        raise ContractViolation("a proper three-coloring is required")
+    if c.k != 3 or not _is_proper(Gi, c, 0) or (X | 1 << v) & _class_mask(c, (0,)):
+        raise ContractViolation("a proper three-coloring of the center and leaves is required")
     c = _permute_palette(c, {v: 1})
     passes = 0
     limit = X.bit_count()
@@ -236,7 +240,7 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
                 "every exchange component mixes both leaf colors", witness
             )
         passes += 1
-    if not verify_coloring(Gi, c):
+    if not _is_proper(Gi, c, 0):
         raise InvariantViolation("normalization produced an improper coloring")
     return c
 
@@ -299,54 +303,45 @@ def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int
                 out[old] = col
 
 
-def _color_side(G: Graph, keep: int, out: list[int], budget: SearchBudget,
-                depth: int) -> Coloring:
-    """Color G[keep] into ``out`` and return the coloring of the relabelled
-    copy of G[keep], which keeps vertex order, before the next side
-    overwrites the cut's colors."""
-    _color(G, keep, out, budget, depth)
-    return Coloring(3, tuple(out[v] for v in iter_bits(keep)))
-
-
 def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:
     """Color a connected G that is neither bipartite nor has a vertex of
-    degree at most two, along the arm decompose() finds. Each side of a
-    clique or star cutset is colored together with the cut, fitted to it
-    and written back, and the merge is verified."""
+    degree at most two, along the arm decompose() finds. Each side of a cut
+    is colored together with the cut into a fresh array, 0 elsewhere. A cut
+    path's sides are merged by combine_p3; a clique or star cutset's are
+    each fitted to the cut, merged and verified."""
     outcome = decompose(G, budget)
-    out = [0] * G.n
     if outcome.variant == "petersen":
+        out = [0] * G.n
         for p, host in enumerate(outcome.embedding.mapping):
             out[host] = PETERSEN_COLORING[p]
         return tuple(out)
     if outcome.variant == "p3":
-        cut = outcome.p3
-        cols = [_color_side(G, side | cut.path_mask(), out, budget, depth) for side in cut.sides]
-        return combine_p3(G, cut, cols).colors
-    if outcome.variant == "clique_cut":
+        cut, sides = outcome.p3.path_mask(), outcome.p3.sides
+    elif outcome.variant == "clique_cut":
         cut = mask_of(outcome.clique)
         sides = components_within(G, G.full_mask() & ~cut)
     elif outcome.variant == "star":
         star = outcome.star
-        cut = star.cutset_mask()
-        sides = star.components
+        cut, sides = star.cutset_mask(), star.components
     else:
         raise NoDecompositionFound("no decomposition applies; input is outside the class")
+    fitted = []
     for side in sides:
-        col = _color_side(G, side | cut, out, budget, depth)
-        ids = bit_list(side | cut)
+        out = [0] * G.n
+        _color(G, side | cut, out, budget, depth)
+        col = Coloring(3, tuple(out))
         if outcome.variant == "clique_cut":
-            col = _permute_palette(col, {ids.index(u): i for i, u in enumerate(outcome.clique, 1)})
-        else:
-            leaves = mask_of(ids.index(u) for u in iter_bits(star.leaves))
-            Gi = induced_subgraph(G, side | cut)[0]
-            with _witness_in(ids):
-                col = normalize_on_star(Gi, col, ids.index(star.center), leaves)
-        for v, c in zip(ids, col.colors):
-            out[v] = c
-    if not verify_coloring(G, Coloring(3, tuple(out))):
+            col = _permute_palette(col, {u: i for i, u in enumerate(outcome.clique, 1)})
+        elif outcome.variant == "star":
+            col = normalize_on_star(G, col, star.center, star.leaves)
+        fitted.append(col)
+    if outcome.variant == "p3":
+        return combine_p3(G, outcome.p3, fitted).colors
+    # The fitted sides agree on the cut and are 0 off it and their side.
+    merged = Coloring(3, tuple(map(max, *(col.colors for col in fitted))))
+    if not verify_coloring(G, merged):
         raise InvariantViolation("merged coloring improper; sides disagree on the cut")
-    return tuple(out)
+    return merged.colors
 
 
 @contextmanager

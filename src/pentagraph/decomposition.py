@@ -44,8 +44,8 @@ class P3Cutset:
 
     def validate(self, G: Graph) -> None:
         v1, v2, v3 = self.path
-        if len({v1, v2, v3}) != 3:
-            raise InvariantViolation("cut path vertices must be distinct")
+        if len({v1, v2, v3}) != 3 or not 0 <= min(self.path) <= max(self.path) < G.n:
+            raise InvariantViolation("cut path vertices must be three distinct vertices")
         if not (G.has_edge(v1, v2) and G.has_edge(v2, v3)) or G.has_edge(v1, v3):
             raise InvariantViolation(f"{self.path} is not an induced three-vertex path")
         comps = components_within(G, G.full_mask() & ~self.path_mask())
@@ -155,20 +155,20 @@ def verify_parity_star_cutset(
     comps = components_within(G, remainder)
     if len(comps) < 2:
         return None
-    qualifying = [
-        comp
-        for comp in comps
-        if all(
-            enumerate_induced_paths(
-                G, l1, l2, comp, parity="even", min_len=2, limit=1, budget=budget
-            )
-            for l1, l2 in combinations(bit_list(leaves), 2)
-        )
-    ]
+    qualifying = [comp for comp in comps if _joins_leaves_evenly(G, leaves, comp, budget)]
     if not qualifying:
         return None
     strong = [comp for comp in qualifying if G.adj[center] & comp]
     return ParityStarCutset(center, leaves, (strong or qualifying)[0], bool(strong), tuple(comps))
+
+
+def _joins_leaves_evenly(G: Graph, leaves: int, comp: int, budget: SearchBudget) -> bool:
+    """Whether every two leaves are joined by an even induced path with
+    interior inside ``comp``; pairs in ascending order, first failure ends."""
+    return all(
+        enumerate_induced_paths(G, l1, l2, comp, parity="even", min_len=2, limit=1, budget=budget)
+        for l1, l2 in combinations(bit_list(leaves), 2)
+    )
 
 
 def _strong_star(
@@ -357,20 +357,18 @@ def revalidate_outcome(
             if col[a] == col[b]:
                 raise InvariantViolation(f"edge {a}-{b} is monochromatic")
     elif v == "low_degree":
-        if outcome.vertex is None or G.degree(outcome.vertex) > 2:
-            raise InvariantViolation("low-degree certificate names a high-degree vertex")
+        if outcome.vertex not in range(G.n) or G.degree(outcome.vertex) > 2:
+            raise InvariantViolation("low-degree certificate names no vertex of degree at most 2")
     elif v == "petersen":
         if outcome.embedding is None or G.n != 10:
             raise InvariantViolation("isomorphism certificate is incomplete")
         outcome.embedding.validate(G, petersen())
     elif v == "clique_cut":
         cut = outcome.clique
-        if not cut:
-            raise InvariantViolation("empty clique certificate")
-        for i, a in enumerate(cut):
-            for b in cut[i + 1 :]:
-                if not G.has_edge(a, b):
-                    raise InvariantViolation(f"{cut} is not a clique")
+        if not cut or not 0 <= min(cut) <= max(cut) < G.n:
+            raise InvariantViolation(f"clique certificate {cut} is empty or names a non-vertex")
+        if not all(G.has_edge(a, b) for a, b in combinations(cut, 2)):
+            raise InvariantViolation(f"{cut} is not a clique")
         rest = G.full_mask() & ~mask_of(cut)
         if len(components_within(G, rest)) < 2:
             raise InvariantViolation(f"removing {cut} does not disconnect the graph")
@@ -380,12 +378,16 @@ def revalidate_outcome(
         outcome.p3.validate(G)
     elif v == "star":
         star = outcome.star
-        if star is None:
-            raise InvariantViolation("missing star certificate")
+        # Leaves must be neighbours of the center, so vertices other than it.
+        if star is None or not 0 <= star.center < G.n or star.leaves & ~G.adj[star.center]:
+            raise InvariantViolation("star certificate is missing or not a star of the graph")
         again = verify_parity_star_cutset(G, star.center, star.leaves, budget)
-        if again is None:
-            raise InvariantViolation("star certificate fails re-verification")
-        if star.strong and not again.strong:
-            raise InvariantViolation("star certificate is not strong on re-verification")
+        w = star.witness_component
+        if again is None or star.components != again.components or w not in star.components:
+            raise InvariantViolation("star certificate's components fail re-verification")
+        if w != again.witness_component and not _joins_leaves_evenly(G, star.leaves, w, budget):
+            raise InvariantViolation("the witness component misses an even leaf-to-leaf path")
+        if star.strong and not G.adj[star.center] & w:
+            raise InvariantViolation("a strong star's center has no neighbor in its witness")
     else:
         raise InvariantViolation(f"variant {v!r} certifies nothing")

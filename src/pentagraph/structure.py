@@ -66,7 +66,7 @@ class InducedPath:
 
     def validate(self, G: Graph) -> None:
         seq = self.vertices
-        if len(seq) < 2 or len(set(seq)) != len(seq):
+        if len(seq) < 2 or len(set(seq)) != len(seq) or not 0 <= min(seq) <= max(seq) < G.n:
             raise InvariantViolation(f"not a path: {seq}")
         for i in range(len(seq) - 1):
             if not G.has_edge(seq[i], seq[i + 1]):
@@ -93,7 +93,7 @@ class Hole:
     def validate(self, G: Graph) -> None:
         seq = self.vertices
         k = len(seq)
-        if k < 4 or len(set(seq)) != k:
+        if k < 4 or len(set(seq)) != k or not 0 <= min(seq) <= max(seq) < G.n:
             raise InvariantViolation(f"not a hole: {seq}")
         for i in range(k):
             for j in range(i + 1, k):
@@ -114,6 +114,8 @@ class Embedding:
         m = self.mapping
         if len(m) != pattern.n or len(set(m)) != len(m):
             raise InvariantViolation("embedding is not injective on the pattern")
+        if m and not 0 <= min(m) <= max(m) < G.n:
+            raise InvariantViolation(f"embedding {m} names a vertex outside the graph")
         for u in range(pattern.n):
             for v in range(u + 1, pattern.n):
                 if pattern.has_edge(u, v) != G.has_edge(m[u], m[v]):

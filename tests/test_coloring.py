@@ -27,6 +27,7 @@ from pentagraph import (
     find_p3_cutset,
     four_color,
     generate_corpus,
+    induced_subgraph,
     iter_bits,
     kempe_component,
     kempe_swap,
@@ -225,15 +226,15 @@ def test_combine_p3_agreeing_sides():
     G = p3_gadget()
     cut = find_p3_cutset(G)
     assert cut == P3Cutset((0, 1, 2), (mask_of((3, 4, 6)), mask_of((5,))))
-    # Side subgraphs list old vertices in ascending order: the first is
-    # G[{0,1,2,3,4,6}], the second G[{0,1,2,5}].
-    col1 = Coloring(3, (1, 2, 1, 2, 3, 1))
-    col2 = Coloring(3, (1, 2, 1, 1))
+    # Side colorings are in G's ids and leave every vertex off their side
+    # and the path at 0: the first colors {0,1,2,3,4,6}, the second {0,1,2,5}.
+    col1 = Coloring(3, (1, 2, 1, 2, 3, 0, 1))
+    col2 = Coloring(3, (1, 2, 1, 0, 0, 1, 0))
     merged = combine_p3(G, cut, [col1, col2])
     assert merged == Coloring(3, (1, 2, 1, 2, 3, 1, 1))
     assert verify_coloring(G, merged)
     # A relabeled palette on one side anchors back to the same merge.
-    col1_swapped = Coloring(3, (2, 1, 2, 1, 3, 2))
+    col1_swapped = Coloring(3, (2, 1, 2, 1, 3, 0, 2))
     assert combine_p3(G, cut, [col1_swapped, col2]) == merged
 
 
@@ -242,8 +243,8 @@ def test_combine_p3_stuck_side_sets_the_target():
     cut = find_p3_cutset(G)
     # First side: 0 and 2 share a {1,3}-component (0-4-3-2 alternates), so
     # its value 3 at the path's end is forced and the free side must flip.
-    col1 = Coloring(3, (1, 2, 3, 1, 3, 2))
-    col2 = Coloring(3, (1, 2, 1, 1))
+    col1 = Coloring(3, (1, 2, 3, 1, 3, 0, 2))
+    col2 = Coloring(3, (1, 2, 1, 0, 0, 1, 0))
     merged = combine_p3(G, cut, [col1, col2])
     assert merged == Coloring(3, (1, 2, 3, 1, 3, 1, 2))
     assert verify_coloring(G, merged)
@@ -252,14 +253,24 @@ def test_combine_p3_stuck_side_sets_the_target():
 def test_combine_p3_contract_errors():
     G = p3_gadget()
     cut = find_p3_cutset(G)
-    col1 = Coloring(3, (1, 2, 1, 2, 3, 1))
-    col2 = Coloring(3, (1, 2, 1, 1))
+    col1 = Coloring(3, (1, 2, 1, 2, 3, 0, 1))
+    col2 = Coloring(3, (1, 2, 1, 0, 0, 1, 0))
     with pytest.raises(ContractViolation):
         combine_p3(G, cut, [col1])
     with pytest.raises(ContractViolation):
-        combine_p3(G, cut, [col1, Coloring(4, (1, 2, 1, 4))])
+        combine_p3(G, cut, [col1, Coloring(4, (1, 2, 1, 0, 0, 4, 0))])
     with pytest.raises(ContractViolation):
-        combine_p3(G, cut, [col1, Coloring(3, (1, 1, 1, 1))])
+        combine_p3(G, cut, [col1, Coloring(3, (1, 1, 1, 0, 0, 1, 0))])
+    for bad in (
+        Coloring(3, (1, 2, 1, 2, 3, 0, 0)),  # side vertex 6 left at 0
+        Coloring(3, (0, 2, 1, 2, 3, 0, 1)),  # path vertex 0 left at 0
+        Coloring(3, (1, 2, 1, 2, 3, 1, 1)),  # vertex 5 lies off this side
+        Coloring(3, (1, 2, 1, 1, 3, 0, 2)),  # edge 2-3 is monochromatic
+        Coloring(4, (1, 2, 1, 2, 3, 0, 1)),  # a four-color palette
+        Coloring(3, (1, 2, 1, 2, 3, 1)),  # the side's relabelled copy
+    ):
+        with pytest.raises(ContractViolation):
+            combine_p3(G, cut, [bad, col2])
     bad_cut = P3Cutset((0, 1, 2), (mask_of((5,)), mask_of((3, 4, 6))))
     with pytest.raises(InvariantViolation):
         combine_p3(G, bad_cut, [col2, col1])
@@ -275,8 +286,8 @@ def test_combine_p3_detects_parity_clash():
     )
     cut = P3Cutset((0, 1, 2), (mask_of((3, 4)), mask_of((5, 6, 7))))
     cut.validate(G)
-    col_a = Coloring(3, (1, 2, 3, 3, 1))
-    col_b = Coloring(3, (1, 2, 1, 3, 1, 3))
+    col_a = Coloring(3, (1, 2, 3, 3, 1, 0, 0, 0))
+    col_b = Coloring(3, (1, 2, 1, 0, 0, 3, 1, 3))
     with pytest.raises(InvariantViolation) as err:
         combine_p3(G, cut, [col_a, col_b])
     assert err.value.witness == ((0, 3, 4, 2), (0, 5, 6, 7, 2))
@@ -324,6 +335,10 @@ def test_normalize_on_star_contract_errors():
         normalize_on_star(G, four_color(G), 0, mask_of((1, 2)))
     with pytest.raises(ContractViolation):
         normalize_on_star(G, Coloring(3, (1,) * 10), 0, mask_of((1, 2)))
+    # An uncolored center or leaf; other vertices may be uncolored.
+    for colors in ((0, 2, 3, 1, 2, 1, 0, 0, 0, 3), (1, 0, 3, 1, 2, 1, 0, 0, 0, 3)):
+        with pytest.raises(ContractViolation):
+            normalize_on_star(G, Coloring(3, colors), 0, mask_of((1, 2)))
     # Out-of-range centers, and a coloring shorter than the graph.
     C5 = cycle(5)
     c5 = three_color(C5)
@@ -332,6 +347,21 @@ def test_normalize_on_star_contract_errors():
             normalize_on_star(C5, c5, v, mask_of([0, 3]))
     with pytest.raises(ContractViolation):
         normalize_on_star(C5, Coloring(3, c5.colors[:3]), 4, mask_of([0, 3]))
+
+
+def test_normalize_on_star_keeps_uncolored_vertices():
+    # One side of the gadget's star, {3, 4, 5, 9}, with the cut {0, 1, 2}:
+    # normalized in G's ids with 0 on the other side, it gets the colors
+    # its relabelled copy gets, and the 0s stay.
+    G = star_gadget()
+    keep = mask_of((0, 1, 2, 3, 4, 5, 9))
+    partial = Coloring(3, (2, 3, 1, 2, 3, 2, 0, 0, 0, 1))
+    fixed = normalize_on_star(G, partial, 0, mask_of((1, 2)))
+    assert fixed == Coloring(3, (1, 2, 2, 1, 3, 1, 0, 0, 0, 2))
+    sub, ids = induced_subgraph(G, keep)
+    copy = Coloring(3, tuple(partial.colors[v] for v in ids))
+    on_copy = normalize_on_star(sub, copy, ids.index(0), mask_of((ids.index(1), ids.index(2))))
+    assert on_copy.colors == tuple(fixed.colors[v] for v in ids)
 
 
 def test_merge_star_colors_the_gadget(monkeypatch):

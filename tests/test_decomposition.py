@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
     ContractViolation,
+    Embedding,
     Hole,
+    InducedPath,
     InvariantViolation,
     P3Cutset,
     ParityStarCutset,
@@ -437,6 +439,55 @@ def test_revalidate_rejects_bad_certificates():
                 star=ParityStarCutset(0, mask_of([1]), mask_of([3]), True, ()),
             ),
         )
+    # Certificates that name ids outside 0..n-1.
+    P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for G, bad in [
+        (P4, DecompositionOutcome("low_degree", vertex=-1)),
+        (P4, DecompositionOutcome("low_degree", vertex=4)),
+        (P, DecompositionOutcome("petersen", embedding=Embedding((-10, *range(1, 10))))),
+        (P, DecompositionOutcome("petersen", embedding=Embedding((*range(9), 10)))),
+        (P4, DecompositionOutcome("clique_cut", clique=(-3,))),
+        (P4, DecompositionOutcome("clique_cut", clique=(9, 1))),
+        (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((0, 1, -2), ()))),
+        (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((4, 0, 5), ()))),
+        (star_gadget(), DecompositionOutcome(
+            "star", star=ParityStarCutset(-1, mask_of([1, 2]), 0, False, ()))),
+        (star_gadget(), DecompositionOutcome(
+            "star", star=ParityStarCutset(0, mask_of([1, 2, 10]), 0, False, ()))),
+        (star_gadget(), DecompositionOutcome(
+            "star", star=ParityStarCutset(0, -1, 0, False, ()))),
+        (star_gadget(), DecompositionOutcome(
+            "star", star=ParityStarCutset(0, mask_of([1, 3]), 0, False, ()))),
+        (star_gadget(), DecompositionOutcome(
+            "star", star=ParityStarCutset(0, mask_of([0, 1]), 0, False, ()))),
+    ]:
+        with pytest.raises(InvariantViolation):
+            revalidate_outcome(G, bad)
+    for bad in (Hole((0, 1, 2, -1)), Hole((0, 1, 2, 3, 5)), InducedPath((9, 0)),
+                InducedPath((-1, 0))):
+        with pytest.raises(InvariantViolation):
+            bad.validate(cycle(5))
+
+
+def test_revalidate_checks_a_star_certificates_own_fields():
+    G = star_gadget()
+    side, other = mask_of([3, 4, 5, 9]), mask_of([6, 7, 8])
+    good = verify_parity_star_cutset(G, 0, mask_of([1, 2]))
+    assert good == ParityStarCutset(0, mask_of([1, 2]), side, True, (side, other))
+    revalidate_outcome(G, DecompositionOutcome("star", star=good))
+    # The other side also joins the leaves evenly (1-6-7-8-2), but the
+    # center has no neighbor there, so it is a witness only of a weak claim.
+    weak = ParityStarCutset(0, mask_of([1, 2]), other, False, (side, other))
+    revalidate_outcome(G, DecompositionOutcome("star", star=weak))
+    for bad in [
+        ParityStarCutset(0, mask_of([1, 2]), other, True, (1 << 9,)),
+        ParityStarCutset(0, mask_of([1, 2]), side, True, (side,)),
+        ParityStarCutset(0, mask_of([1, 2]), side, True, (other, side)),
+        ParityStarCutset(0, mask_of([1, 2]), side | other, True, (side, other)),
+        ParityStarCutset(0, mask_of([1, 2]), other, True, (side, other)),
+    ]:
+        with pytest.raises(InvariantViolation):
+            revalidate_outcome(G, DecompositionOutcome("star", star=bad))
 
 
 def test_decompose_terminates_via_recursive_shrink(small_pentagraphs):

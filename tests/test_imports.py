@@ -1,8 +1,9 @@
 """Every name a library module or a test file imports is used in that file,
 every private module-level name of the package is referred to by the
 package itself, not only by tests, only SearchBudget.spend raises
-SearchBudgetExceeded, only cli.main builds a report, and the theorem
-checkers run no induced-path search of their own.
+SearchBudgetExceeded, only cli.main builds a report, the theorem checkers
+run no induced-path search of their own, and the 3-coloring copies a
+subgraph only in one place.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -204,3 +205,31 @@ def test_the_checkers_call_no_raw_path_search():
     # so a checker and the code it checks cannot drift apart.
     source = (PACKAGE / "properties.py").read_text(encoding="utf-8")
     assert raw_search_sites(source) == []
+
+
+def copy_sites(source: str) -> list[str]:
+    """Where ``source`` calls ``induced_subgraph`` or ``_witness_in``."""
+    return scoped_sites(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) in ("induced_subgraph", "_witness_in"),
+    )
+
+
+def test_the_check_sees_a_copy():
+    source = (
+        "def _color(G, keep):\n"
+        "    sub, ids = graph.induced_subgraph(G, keep)\n"
+        "    with _witness_in(ids):\n        pass\n\n\n"
+        "class Side:\n    def fit(self, G):\n        return induced_subgraph(G, 3)[0]\n\n\n"
+        "_witness_in(())\n"
+    )
+    assert copy_sites(source) == ["_color", "_color", "Side.fit", "<module>"]
+    assert copy_sites("def f(G):\n    return components_within(G, 3)\n") == []
+
+
+def test_the_coloring_copies_only_per_component():
+    # Below the per-component copy every coloring is in that copy's ids, so
+    # no cut side is relabelled and no witness renamed a second time.
+    source = (PACKAGE / "coloring.py").read_text(encoding="utf-8")
+    assert copy_sites(source) == ["_color", "_color"]
