@@ -349,7 +349,7 @@ def cmd_corpus(args):
         for G in stream:
             fh.write(write_graph6(G) + "\n")
             by_n[G.n] = by_n.get(G.n, 0) + 1
-            if layer_parity(G.adj, G.full_mask())[1]:
+            if not layer_parity(G.adj, G.full_mask())[1]:
                 bipartite_count += 1
     total = stream.produced
     outcome = {

@@ -105,21 +105,24 @@ def four_color(G: Graph) -> Coloring:
     on even layers and {3,4} on odd ones.
 
     Works per component (source = least vertex). One layer_parity call
-    on G gives the odd layers; a second, on the edges inside layers, gives
-    each layer's sides, and it seeds each layer's vertices in ascending
-    order, as a search per layer would, so the sides are the same. A layer
-    inducing a non-bipartite subgraph means the input was not in the
-    class; then the layers are checked one by one, in (component, layer)
-    order, and the first odd one raises InvariantViolation with (layer
-    index, odd cycle) as witness.
+    on G gives the odd layers, and on a bipartite G nothing more: no edge
+    lies inside a layer. Otherwise a second call, over the vertices with an
+    edge inside their layer, gives each layer's sides; it seeds each
+    layer's vertices in ascending order, as a search per layer would, so
+    the sides are the same. A layer inducing a non-bipartite subgraph means
+    the input was not in the class; then the layers are checked one by one,
+    in (component, layer) order, and the first odd one raises
+    InvariantViolation with (layer index, odd cycle) as witness.
     """
-    full = G.full_mask()
-    odd = layer_parity(G.adj, full)[0]  # the vertices of odd layers
-    even = ~odd
-    # No edge skips a layer, so same-parity neighbours are same-layer ones.
-    inner = [a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)]
-    side, flat = layer_parity(inner, full)
-    if not flat:
+    odd, clash = layer_parity(G.adj, G.full_mask())  # odd: the odd layers
+    side = 0
+    if clash:
+        even = ~odd
+        # No edge skips a layer, so same-parity neighbours are same-layer ones.
+        inner = [a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)]
+        # From here clash marks the layers' own odd cycles.
+        side, clash = layer_parity(inner, mask_of(v for v, a in enumerate(inner) if a))
+    if clash:
         for comp in components(G):
             for idx, layer in enumerate(bfs_layers(G, (comp & -comp).bit_length() - 1)):
                 one = is_bipartite(G, within=layer)
@@ -258,11 +261,12 @@ def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     """Proper 3-coloring by recursive decomposition.
 
-    Fills one color array indexed by G's vertices, one component of a
-    vertex set at a time. A bipartite component gets its 2-coloring. One
-    with a vertex of degree at most two inside it is colored without its
-    least such vertex, which then takes the least color its neighbours
-    leave free. Any other component is copied once and cut by decompose():
+    Fills one color array indexed by G's vertices, one vertex set at a
+    time. One layer_parity sweep of the set gives every bipartite component
+    its 2-coloring; only the others are split into components. One with a
+    vertex of degree at most two inside it is colored without its least
+    such vertex, which then takes the least color its neighbours leave
+    free. Any other component is copied once and cut by decompose():
     the ten-vertex base case is colored directly, a cut path colors its
     sides and recombines them with combine_p3, and a clique or star cutset
     colors each side together with the cut and fits it to the cut, by
@@ -281,16 +285,15 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
 
 
 def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> None:
-    """Color G[keep] into ``out``."""
+    """Color G[keep] into ``out``: the bipartite components from one
+    layer_parity sweep, then each component of its clash mask in turn."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
     adj = G.adj
-    for comp in components_within(G, keep):
-        odd, flat = layer_parity(adj, comp)
-        if flat:
-            for v in iter_bits(comp):
-                out[v] = 1 + (odd >> v & 1)
-            continue
+    odd, clash = layer_parity(adj, keep)
+    for v in iter_bits(keep & ~clash):
+        out[v] = 1 + (odd >> v & 1)
+    for comp in components_within(G, clash):
         low = next((v for v in iter_bits(comp) if (adj[v] & comp).bit_count() <= 2), None)
         if low is not None:
             _color(G, comp & ~(1 << low), out, budget, depth - 1)

@@ -43,9 +43,9 @@ class P3Cutset:
         return mask_of(self.path)
 
     def validate(self, G: Graph) -> None:
-        v1, v2, v3 = self.path
-        if len({v1, v2, v3}) != 3 or not 0 <= min(self.path) <= max(self.path) < G.n:
+        if len(self.path) != 3 or len({v for v in self.path if 0 <= v < G.n}) != 3:
             raise InvariantViolation("cut path vertices must be three distinct vertices")
+        v1, v2, v3 = self.path
         if not (G.has_edge(v1, v2) and G.has_edge(v2, v3)) or G.has_edge(v1, v3):
             raise InvariantViolation(f"{self.path} is not an induced three-vertex path")
         comps = components_within(G, G.full_mask() & ~self.path_mask())
@@ -314,8 +314,8 @@ def decompose(G: Graph, budget: SearchBudget | None = None) -> DecompositionOutc
     the sub-searches propagates; none_found is reachable only for inputs
     outside the class.
     """
-    odd, flat = layer_parity(G.adj, G.full_mask())
-    if flat:
+    odd, clash = layer_parity(G.adj, G.full_mask())
+    if not clash:
         return DecompositionOutcome(
             "bipartite", two_coloring=tuple([1 + (odd >> v & 1) for v in range(G.n)])
         )

@@ -310,46 +310,46 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
     (cyclically) are edges and whose length is odd.
     """
     # layer_parity decides and colors. Only a failure searches again: bfs()
-    # from each component's least vertex in turn, up to the first vertex in
-    # queue order with a neighbour in its own layer, closed by the least
-    # such neighbour. Same-parity neighbours of a vertex are same-layer ones.
+    # from the least vertex of its clash mask, the least vertex of a
+    # non-bipartite component, up to the first vertex in queue order with a
+    # neighbour in its own layer, closed by the least such neighbour.
+    # Same-parity neighbours of a vertex are same-layer ones.
     adj = G.adj
     within = G.full_mask() if within is None else within & G.full_mask()
-    odd, flat = layer_parity(adj, within)
-    if flat:
+    odd, clash = layer_parity(adj, within)
+    if not clash:
         return BipartiteCheck(
             tuple([odd >> v & 1 if within >> v & 1 else -1 for v in range(G.n)]), None
         )
     even = within & ~odd
-    left = within
-    while True:
-        _, parent, order = bfs(G, left & -left, within)
-        for x in order:
-            clash = adj[x] & (odd if odd >> x & 1 else even)
-            if clash:
-                y = (clash & -clash).bit_length() - 1
-                return BipartiteCheck(None, _odd_walk(parent, x, y))
-        left &= ~mask_of(order)
+    _, parent, order = bfs(G, clash & -clash, within)
+    for x in order:
+        same = adj[x] & (odd if odd >> x & 1 else even)
+        if same:
+            y = (same & -same).bit_length() - 1
+            return BipartiteCheck(None, _odd_walk(parent, x, y))
 
 
-def layer_parity(adj, within: int) -> tuple[int, bool]:
+def layer_parity(adj, within: int) -> tuple[int, int]:
     """Breadth-first layers of the subgraph that the adjacency masks ``adj``
     induce on ``within``, one component at a time from its least vertex.
     Bits of ``within`` that name no vertex are ignored.
 
-    Returns ``(odd, flat)``: ``odd`` is the mask of the vertices at odd
-    distance from that least vertex, and ``flat`` is true exactly when no
-    edge joins two vertices of one layer, that is, when the subgraph is
-    bipartite; then ``odd`` is the side is_bipartite colors 1.
+    Returns ``(odd, clash)``: ``odd`` is the mask of the vertices at odd
+    distance from their component's least vertex, and ``clash`` the mask of
+    the vertices whose component has an edge inside one of its layers, that
+    is, the union of the non-bipartite components. So ``clash`` is 0 exactly
+    when the subgraph is bipartite, and off ``clash`` ``odd`` is the side
+    is_bipartite colors 1, component by component.
     """
     # Whole frontiers as masks, as in _frontiers; a layer holds an edge
     # exactly when the neighbours of its vertices meet it.
-    odd = 0
-    flat = True
+    odd = clash = 0
     left = within & ((1 << len(adj)) - 1)
     while left:
         seen = frontier = left & -left
         parity = 0
+        flat = True
         while frontier:
             nxt = 0
             rest = frontier
@@ -365,8 +365,10 @@ def layer_parity(adj, within: int) -> tuple[int, bool]:
             parity ^= 1
             frontier = nxt & ~seen
             seen |= frontier
+        if not flat:
+            clash |= seen
         left &= ~seen
-    return odd, flat
+    return odd, clash
 
 
 def _odd_walk(parent: list[int], x: int, y: int) -> tuple[int, ...]:

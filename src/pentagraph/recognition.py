@@ -52,7 +52,7 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     runs only on a graph that is not.
     """
     g = girth(G)
-    bip = layer_parity(G.adj, G.full_mask())[1]
+    bip = not layer_parity(G.adj, G.full_mask())[1]
     if g < 5:
         cyc = shortest_cycle(G)
         return RecognitionReport(

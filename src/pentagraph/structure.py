@@ -344,7 +344,7 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
     full = G.full_mask()
     least = min_len + 2
     big = [
-        B for B in blocks(G) if B.bit_count() >= least and not layer_parity(adj, B)[1]
+        B for B in blocks(G) if B.bit_count() >= least and layer_parity(adj, B)[1]
     ]
     for a in range(G.n):
         at_a = [B for B in big if B >> a & 1]

@@ -41,6 +41,7 @@ from pentagraph import (
 )
 from pentagraph import coloring
 from pentagraph.fixtures import cycle, fixture, petersen
+from pentagraph.generate import enumerate_girth5
 
 from conftest import make_rng, p3_gadget, star_gadget
 from oracles import o_chromatic
@@ -176,6 +177,49 @@ def test_four_color_pentagon_frozen():
     )
 
 
+def test_bipartite_graphs_take_one_parity_sweep(monkeypatch):
+    # One sweep decides bipartiteness and colors: four_color needs no sweep
+    # of the edges inside layers, and three_color no split into components.
+    sweeps, splits = [], []
+    real_parity, real_split = coloring.layer_parity, coloring.components_within
+
+    def parity(adj, within):
+        sweeps.append(within)
+        return real_parity(adj, within)
+
+    def split(G, allowed):
+        splits.append(allowed)
+        return real_split(G, allowed)
+
+    monkeypatch.setattr(coloring, "layer_parity", parity)
+    monkeypatch.setattr(coloring, "components_within", split)
+    forest = make_graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)])
+    for G in (make_graph(0, []), make_graph(3, []), cycle(6), cycle(8), forest):
+        sweeps.clear()
+        four_color(G)
+        assert len(sweeps) == 1
+        sweeps.clear()
+        three_color(G)
+        assert len(sweeps) == 1 and not any(splits)
+    # A pentagon has an edge inside a layer: four_color sweeps those edges.
+    sweeps.clear()
+    four_color(cycle(5))
+    assert sweeps == [0b11111, 0b01100]
+
+
+def test_colorings_of_every_seven_vertex_member_are_pinned():
+    # On seven vertices the only girth-five non-members are the 360 labeled
+    # 7-cycles, the 2-regular graphs; three in four members are bipartite.
+    members = [G for G in enumerate_girth5(7) if any(G.degree(v) != 2 for v in range(7))]
+    assert len(members) == 53005
+    assert coloring_digest(members, four_color) == (
+        "e3e204695cbdeb699f11fb0ee2d3cd1c80d54d93531e2d225d046e8ae3457f9d"
+    )
+    assert coloring_digest(members, three_color) == (
+        "7d767b354568d44e1617f02dbbe90c6f964a7adb0aee7f6fe22b29fb70b43d29"
+    )
+
+
 def test_four_color_members_layerwise(random_pentagraphs_20):
     for G in random_pentagraphs_20[:80]:
         col = four_color(G)
@@ -274,6 +318,10 @@ def test_combine_p3_contract_errors():
     bad_cut = P3Cutset((0, 1, 2), (mask_of((5,)), mask_of((3, 4, 6))))
     with pytest.raises(InvariantViolation):
         combine_p3(G, bad_cut, [col2, col1])
+    # A cut path of two or four ids is refused, not unpacked.
+    for path in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(InvariantViolation, match="three distinct vertices"):
+            combine_p3(G, P3Cutset(path, cut.sides), [col1, col2])
 
 
 def test_combine_p3_detects_parity_clash():

@@ -450,6 +450,8 @@ def test_revalidate_rejects_bad_certificates():
         (P4, DecompositionOutcome("clique_cut", clique=(9, 1))),
         (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((0, 1, -2), ()))),
         (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((4, 0, 5), ()))),
+        (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((0, 1), ()))),
+        (cycle(5), DecompositionOutcome("p3", p3=P3Cutset((0, 1, 2, 3), ()))),
         (star_gadget(), DecompositionOutcome(
             "star", star=ParityStarCutset(-1, mask_of([1, 2]), 0, False, ()))),
         (star_gadget(), DecompositionOutcome(

@@ -323,12 +323,21 @@ def masked_graphs(draw):
 @given(masked_graphs())
 def test_layer_parity_agrees_with_is_bipartite(case):
     G, within = case
-    odd, flat = layer_parity(G.adj, within)
+    odd, clash = layer_parity(G.adj, within)
+    # is_bipartite is built on the kernel, so the truth comes from networkx:
+    # clash is the union of the non-bipartite components.
+    H = to_nx(G).subgraph(bit_list(within))
+    parts = [mask_of(comp) for comp in nx.connected_components(H)]
+    assert clash == sum(m for m in parts if not nx.is_bipartite(H.subgraph(bit_list(m))))
     check = is_bipartite(G, within=within)
-    # is_bipartite is built on the kernel, so the truth comes from networkx.
-    assert flat == bool(check) == nx.is_bipartite(to_nx(G).subgraph(bit_list(within)))
+    assert bool(check) == (clash == 0)
     if check:
         assert odd == mask_of(v for v, side in enumerate(check.two_coloring) if side == 1)
+    # Off clash, odd is each bipartite component's own 1-side.
+    for m in parts:
+        if not m & clash:
+            sides = is_bipartite(G, within=m).two_coloring
+            assert odd & m == mask_of(v for v, side in enumerate(sides) if side == 1)
 
 
 @settings(deadline=None, max_examples=300)
