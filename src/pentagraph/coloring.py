@@ -92,10 +92,15 @@ def kempe_component(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> int
 def kempe_swap(G: Graph, c: Coloring, pair: tuple[int, int], v: int) -> Coloring:
     """Exchange the two colors on the component containing v; properness is
     preserved and the operation is an involution."""
+    return _exchange(c, pair, kempe_component(G, c, pair, v))
+
+
+def _exchange(c: Coloring, pair: tuple[int, int], swap_mask: int) -> Coloring:
+    """Color a becomes b and b becomes a on the vertices of ``swap_mask``,
+    each of which has one of the two colors."""
     a, b = pair
-    comp = kempe_component(G, c, pair, v)
     out = list(c.colors)
-    for u in iter_bits(comp):
+    for u in iter_bits(swap_mask):
         out[u] = a if out[u] == b else b
     return Coloring(c.k, tuple(out))
 
@@ -149,10 +154,12 @@ def combine_p3(G: Graph, cut: P3Cutset, side_colorings: list[Coloring]) -> Color
     Side i colors sides[i] and the cut path, in G's ids, and leaves every
     other vertex at 0. Palettes are permuted so every side sends v1 to 1
     and v2 to 2; each side then gives v3 either 1 or 3. A side where v1
-    and v3 share a {1,3}-Kempe component is stuck with its value; other
-    sides can be flipped at v3. If two stuck sides disagree, their
-    connecting paths close an odd induced cycle of length at least seven,
-    which raises InvariantViolation (input outside the class).
+    and v3 share a {1,3}-Kempe component is stuck with its value; on any
+    other side, exchanging 1 and 3 on v3's component, found once for the
+    stuck test, flips v3 and leaves v1 and v2. If two stuck sides
+    disagree, their connecting paths close an odd induced cycle of length
+    at least seven, which raises InvariantViolation (input outside the
+    class).
     """
     cut.validate(G)
     if len(side_colorings) != len(cut.sides):
@@ -167,18 +174,19 @@ def combine_p3(G: Graph, cut: P3Cutset, side_colorings: list[Coloring]) -> Color
                 "each side coloring must be a proper 3-coloring of exactly its side and the path"
             )
         col = _permute_palette(col, {v1: 1, v2: 2})
-        sides.append((col, kempe_component(G, col, (1, 3), v3) >> v1 & 1))
+        sides.append((col, kempe_component(G, col, (1, 3), v3)))
 
-    stuck_values = {col.colors[v3] for col, stuck in sides if stuck}
+    stuck = [col for col, comp in sides if comp >> v1 & 1]
+    stuck_values = {col.colors[v3] for col in stuck}
     if len(stuck_values) > 1:
         raise InvariantViolation(
             "sides force both parities at the cut path's end",
-            tuple(_alternating_path(G, col, v1, v3) for col, stuck in sides if stuck),
+            tuple(_kempe_path(G, col, (1, 3), 1 << v1, 1 << v3) for col in stuck),
         )
     target = stuck_values.pop() if stuck_values else 1
 
-    fitted = [col if col.colors[v3] == target else kempe_swap(G, col, (1, 3), v3)
-              for col, _ in sides]
+    fitted = [col if col.colors[v3] == target else _exchange(col, (1, 3), comp)
+              for col, comp in sides]
     # The fitted sides agree on the path and are 0 off it and their side.
     merged = Coloring(3, tuple(map(max, *(col.colors for col in fitted))))
     if not verify_coloring(G, merged):
@@ -196,22 +204,26 @@ def _permute_palette(c: Coloring, want: dict[int, int]) -> Coloring:
     raise ContractViolation("no palette permutation satisfies the anchors")
 
 
-def _alternating_path(G: Graph, col: Coloring, s: int, t: int) -> tuple[int, ...]:
-    """Shortest path from s to t inside the {1,3}-colored subgraph."""
-    _, parent, _ = bfs(G, 1 << s, _class_mask(col, (1, 3)))
-    return tuple(path_to(parent, t))
+def _kempe_path(G: Graph, c: Coloring, pair: tuple[int, int], s: int, t: int) -> tuple[int, ...]:
+    """Shortest path inside the ``pair``-colored subgraph from the mask s
+    to the first vertex of the mask t that breadth-first search reaches;
+    () when it reaches none."""
+    _, parent, order = bfs(G, s, _class_mask(c, pair))
+    return next((tuple(path_to(parent, z)) for z in order if t >> z & 1), ())
 
 
 def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
     """Recolor so that v gets 1 and every vertex of X gets 2.
 
-    After permuting the palette so v maps to 1, repeatedly find a
-    {2,3}-Kempe component that contains a leaf colored 3 and no leaf
-    colored 2, and swap it; each pass strictly shrinks the set of leaves
-    colored 3, so at most |X| passes run. If every component containing a
-    3-leaf also holds a 2-leaf, a shortest leaf-to-leaf path in the
-    {2,3}-subgraph is odd with interior outside the cutset, certifying an
-    invalid cutset or an input outside the class; InvariantViolation
+    After permuting the palette so v maps to 1, one pass swaps colors 2
+    and 3 on every {2,3}-Kempe component that holds a leaf colored 3 and no
+    leaf colored 2. A {2,3} exchange leaves the set of {2,3}-colored
+    vertices as it is, so the components are fixed, and swapping one of
+    these turns its 3-leaves into 2-leaves and touches no other component;
+    so they can all be swapped at once, in any order. If a 3-leaf remains,
+    its component also holds a 2-leaf, and a shortest leaf-to-leaf path in
+    the {2,3}-subgraph is odd with interior outside the cutset, certifying
+    an invalid cutset or an input outside the class; InvariantViolation
     carries that path. Vertices at 0 are uncolored: they join no Kempe
     component and stay 0, but the center and the leaves must be colored.
     """
@@ -222,40 +234,21 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
     if c.k != 3 or not _is_proper(Gi, c, 0) or (X | 1 << v) & _class_mask(c, (0,)):
         raise ContractViolation("a proper three-coloring of the center and leaves is required")
     c = _permute_palette(c, {v: 1})
-    passes = 0
-    limit = X.bit_count()
-    while True:
-        three_leaves = X & _class_mask(c, (3,))
-        if not three_leaves:
-            break
-        if passes > limit:
-            raise InvariantViolation("leaf recoloring failed to terminate")
-        two_leaves = X & _class_mask(c, (2,))
-        swapped = False
-        for u in iter_bits(three_leaves):
-            if not kempe_component(Gi, c, (2, 3), u) & two_leaves:
-                c = kempe_swap(Gi, c, (2, 3), u)
-                swapped = True
-                break
-        if not swapped:
-            witness = _mixed_leaf_path(Gi, c, X)
-            raise InvariantViolation(
-                "every exchange component mixes both leaf colors", witness
-            )
-        passes += 1
+    two_leaves = X & _class_mask(c, (2,))
+    three_leaves = X & _class_mask(c, (3,))
+    pure = 0
+    for comp in components_within(Gi, _class_mask(c, (2, 3))):
+        if comp & three_leaves and not comp & two_leaves:
+            pure |= comp
+    c = _exchange(c, (2, 3), pure)
+    if three_leaves & ~pure:
+        raise InvariantViolation(
+            "every exchange component mixes both leaf colors",
+            _kempe_path(Gi, c, (2, 3), X & _class_mask(c, (2,)), X & _class_mask(c, (3,))),
+        )
     if not _is_proper(Gi, c, 0):
         raise InvariantViolation("normalization produced an improper coloring")
     return c
-
-
-def _mixed_leaf_path(Gi: Graph, c: Coloring, X: int) -> tuple[int, ...]:
-    """Shortest path in the {2,3}-subgraph from a leaf colored 2 to a leaf
-    colored 3; its interior avoids the leaves, and it has odd length."""
-    _, parent, order = bfs(Gi, X & _class_mask(c, (2,)), _class_mask(c, (2, 3)))
-    for z in order:
-        if X >> z & 1 and c.colors[z] == 3:
-            return tuple(path_to(parent, z))
-    return ()
 
 
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:

@@ -387,7 +387,7 @@ def revalidate_outcome(
             raise InvariantViolation("star certificate's components fail re-verification")
         if w != again.witness_component and not _joins_leaves_evenly(G, star.leaves, w, budget):
             raise InvariantViolation("the witness component misses an even leaf-to-leaf path")
-        if star.strong and not G.adj[star.center] & w:
-            raise InvariantViolation("a strong star's center has no neighbor in its witness")
+        if star.strong != bool(G.adj[star.center] & w):
+            raise InvariantViolation("strong flag disagrees with the center's witness neighbors")
     else:
         raise InvariantViolation(f"variant {v!r} certifies nothing")

@@ -10,7 +10,7 @@ import json
 import math
 import re
 
-from .errors import GraphConstructionError, ParseError
+from .errors import ContractViolation, GraphConstructionError, ParseError
 from .graph import HARD_MAX_VERTICES, Graph, make_graph
 
 _G6_HEADER = ">>graph6<<"
@@ -197,7 +197,10 @@ _DOT_PALETTE = {1: "#4f9dd0", 2: "#e6a23c", 3: "#7cb66b", 4: "#c96a6a"}
 
 
 def write_dot(G: Graph, colors: tuple[int, ...] | None = None) -> str:
-    """DOT output for human inspection; optional vertex colors 1..4."""
+    """DOT output for human inspection; optional vertex colors 1..4, one
+    per vertex."""
+    if colors is not None and len(colors) != G.n:
+        raise ContractViolation("the colors must give one entry per vertex")
     lines = ["graph {"]
     for v in range(G.n):
         if colors is not None:

@@ -369,7 +369,7 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
 def is_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) -> bool:
     """True when s and t are joined by induced paths of length >= 3 of both
     parities. Requires s, t distinct and non-adjacent."""
-    if s == t or G.has_edge(s, t):
+    if not (0 <= s < G.n and 0 <= t < G.n) or s == t or G.has_edge(s, t):
         raise ContractViolation("linkedness is defined for distinct non-adjacent vertices")
     if budget is None:
         budget = SearchBudget.fresh()
@@ -383,7 +383,7 @@ def is_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) -> b
 
 def is_odd_linked(G: Graph, s: int, t: int, budget: SearchBudget | None = None) -> bool:
     """True when some induced s-t path has odd length >= 5."""
-    if s == t or G.has_edge(s, t):
+    if not (0 <= s < G.n and 0 <= t < G.n) or s == t or G.has_edge(s, t):
         raise ContractViolation("odd-linkedness is defined for distinct non-adjacent vertices")
     found = enumerate_induced_paths(
         G, s, t, G.full_mask(), parity="odd", min_len=5, limit=1, budget=budget

@@ -171,3 +171,91 @@ def o_all_graphs(n):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         yield tuple(adj)
+
+
+def o_components(G, allowed):
+    """Components of the subgraph on the vertices of ``allowed``, as masks,
+    ordered by least vertex; plain depth-first search."""
+    out = []
+    seen = 0
+    for v in bits(allowed):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        stack = [v]
+        while stack:
+            for z in bits(G.adj[stack.pop()] & allowed):
+                if not comp >> z & 1:
+                    comp |= 1 << z
+                    stack.append(z)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+# The Petersen graph as fixtures.petersen() labels it: outer pentagon,
+# spokes, inner pentagram.
+O_PETERSEN_EDGES = frozenset(
+    frozenset(e)
+    for i in range(5)
+    for e in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))
+)
+
+
+def o_certificate_holds(G, out):
+    """Whether every field of a decomposition certificate is true of G,
+    read from the definitions: a proper 2-coloring; a vertex of degree at
+    most two; an induced embedding of the Petersen graph onto all of G; a
+    clique whose removal disconnects G; an induced three-vertex path with
+    the components it leaves, in order of least vertex; a star whose
+    removal leaves the stored components, with a witness among them that
+    joins every two leaves by an even induced path of length at least two
+    and a ``strong`` flag saying whether the center has a neighbour in it.
+    none_found certifies nothing."""
+    n = G.n
+    full = (1 << n) - 1
+
+    def vertex(v):
+        return isinstance(v, int) and 0 <= v < n
+
+    def adjacent(u, v):
+        return G.adj[u] >> v & 1 == 1
+
+    def mask(vs):
+        return sum(1 << v for v in set(vs))
+
+    if out.variant == "bipartite":
+        col = out.two_coloring
+        return (col is not None and len(col) == n and all(c in (1, 2) for c in col)
+                and all(col[u] != col[v] for u in range(n) for v in bits(G.adj[u])))
+    if out.variant == "low_degree":
+        return vertex(out.vertex) and len(bits(G.adj[out.vertex])) <= 2
+    if out.variant == "petersen":
+        m = out.embedding.mapping if out.embedding is not None else ()
+        return (n == 10 and len(m) == 10 and all(map(vertex, m)) and len(set(m)) == 10
+                and all(adjacent(m[a], m[b]) == (frozenset((a, b)) in O_PETERSEN_EDGES)
+                        for a, b in combinations(range(10), 2)))
+    if out.variant == "clique_cut":
+        cut = out.clique or ()
+        return (len(cut) > 0 and all(map(vertex, cut)) and len(set(cut)) == len(cut)
+                and all(adjacent(a, b) for a, b in combinations(cut, 2))
+                and len(o_components(G, full & ~mask(cut))) >= 2)
+    if out.variant == "p3":
+        cut = out.p3
+        if cut is None or len(cut.path) != 3 or not all(map(vertex, cut.path)):
+            return False
+        v1, v2, v3 = cut.path
+        comps = tuple(o_components(G, full & ~mask(cut.path)))
+        return (len(set(cut.path)) == 3 and adjacent(v1, v2) and adjacent(v2, v3)
+                and not adjacent(v1, v3) and len(comps) >= 2 and cut.sides == comps)
+    if out.variant == "star":
+        star = out.star
+        if star is None or not vertex(star.center) or star.leaves & ~G.adj[star.center]:
+            return False
+        comps = tuple(o_components(G, full & ~star.leaves & ~(1 << star.center)))
+        w = star.witness_component
+        return (len(comps) >= 2 and star.components == comps and w in comps
+                and all(any(len(p) % 2 == 1 and len(p) >= 3 for p in o_induced_paths(G, a, b, w))
+                        for a, b in combinations(bits(star.leaves), 2))
+                and star.strong == (G.adj[star.center] & w != 0))
+    return False

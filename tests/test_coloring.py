@@ -397,6 +397,62 @@ def test_normalize_on_star_contract_errors():
         normalize_on_star(C5, Coloring(3, c5.colors[:3]), 4, mask_of([0, 3]))
 
 
+def test_normalize_on_star_swaps_every_pure_three_component():
+    # Leaves 1 and 2 lie in the disjoint {2,3}-components {1, 3} and
+    # {2, 4}, each holding a 3-leaf and no 2-leaf: one call swaps both.
+    G = make_graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+    fixed = normalize_on_star(G, Coloring(3, (1, 3, 3, 2, 2)), 0, mask_of((1, 2)))
+    assert fixed == Coloring(3, (1, 2, 2, 3, 3))
+    # A third component, 5-7-8-6, mixes the leaf colors: the error names its
+    # odd leaf-to-leaf path, and the pure components' swaps do not hide it.
+    G = make_graph(9, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (2, 4), (5, 7), (7, 8), (8, 6)])
+    with pytest.raises(InvariantViolation, match="mixes both leaf colors") as err:
+        normalize_on_star(G, Coloring(3, (1, 3, 3, 2, 2, 2, 3, 3, 2)), 0, mask_of((1, 2, 5, 6)))
+    assert err.value.witness == (5, 7, 8, 6)
+
+
+def star_normalization_cases():
+    """Seeded normalize_on_star inputs: a random graph, a random proper
+    partial 3-coloring (some vertices left at 0), a center and a random set
+    of its colored neighbours as leaves; now and then an uncolored center."""
+    rng = make_rng("normalize-on-star")
+    cases = []
+    while len(cases) < 4000:
+        n = rng.randrange(3, 15)
+        G = rand_graph(rng, n, rng.uniform(0.1, 0.5))
+        colors = [0] * n
+        for v in rng.sample(range(n), n):
+            free = [c for c in (1, 2, 3) if all(colors[u] != c for u in iter_bits(G.adj[v]))]
+            if free and rng.random() < 0.9:
+                colors[v] = rng.choice(free)
+        v = rng.randrange(n)
+        if not colors[v] and rng.random() < 0.9:
+            continue
+        leaves = [u for u in iter_bits(G.adj[v]) if colors[u]]
+        X = mask_of(rng.sample(leaves, rng.randint(0, len(leaves))))
+        cases.append((G, Coloring(3, tuple(colors)), v, X))
+    return cases
+
+
+def test_normalize_on_star_results_are_pinned():
+    # The colorings, or the error's type, message and witness, are fixed.
+    # The corpus has 396 mixed-leaf errors and 82 uncolored centers or
+    # leaves; 821 calls swap one component, and 111 two or three.
+    digest = hashlib.sha256()
+    outcomes = {}
+    for G, c, v, X in star_normalization_cases():
+        try:
+            record = ("ok", normalize_on_star(G, c, v, X).colors)
+        except (ContractViolation, InvariantViolation) as err:
+            record = (type(err).__name__, str(err), getattr(err, "witness", None))
+        outcomes[record[0]] = outcomes.get(record[0], 0) + 1
+        digest.update((repr(record) + "\n").encode())
+    assert outcomes == {"ok": 3522, "InvariantViolation": 396, "ContractViolation": 82}
+    assert digest.hexdigest() == (
+        "f2ed6d2fdf9531dba7d0ac23593ef77717c3b4b3b15e42b5a0dbcdba94e10d7f"
+    )
+
+
 def test_normalize_on_star_keeps_uncolored_vertices():
     # One side of the gadget's star, {3, 4, 5, 9}, with the cut {0, 1, 2}:
     # normalized in G's ids with 0 on the other side, it gets the colors

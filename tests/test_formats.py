@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pentagraph import (
+    ContractViolation,
     ParseError,
     make_graph,
     parse_dimacs,
@@ -253,3 +254,11 @@ def test_dot_output():
     colored = write_dot(make_graph(2, [(0, 1)]), colors=(1, 4))
     assert 'fillcolor="#4f9dd0"' in colored and 'fillcolor="#c96a6a"' in colored
     assert "0 -- 1;" in colored
+
+
+def test_dot_output_wants_one_color_per_vertex():
+    G = cycle(5)
+    assert write_dot(G, colors=(1, 2, 1, 2, 3)).count("fillcolor") == 5
+    for length in (0, G.n - 1, G.n + 1, G.n + 5):
+        with pytest.raises(ContractViolation):
+            write_dot(G, colors=(1,) * length)

@@ -497,6 +497,15 @@ def test_linkedness_matches_oracle():
         is_linked(cycle(5), 2, 2)
 
 
+@pytest.mark.parametrize("check", [is_linked, is_odd_linked])
+def test_linkedness_refuses_ends_outside_the_graph(check):
+    G = cycle(5)
+    for bad in (-1, G.n, G.n + 5):
+        for s, t in ((bad, 2), (2, bad)):
+            with pytest.raises(ContractViolation):
+                check(G, s, t)
+
+
 def test_petersen_pairs_all_linked():
     # 0-4-3-2 is odd, 0-4-9-7-2 is even, and the longest induced path
     # between nonadjacent vertices has four edges (oracle-checked inline),
