@@ -125,7 +125,7 @@ def four_color(G: Graph) -> Coloring:
         even = ~odd
         # No edge skips a layer, so same-parity neighbours are same-layer ones.
         inner = [a & (odd if odd >> v & 1 else even) for v, a in enumerate(G.adj)]
-        # From here clash marks the layers' own odd cycles.
+        # From here clash lists the layers' parts that hold odd cycles.
         side, clash = layer_parity(inner, mask_of(v for v, a in enumerate(inner) if a))
     if clash:
         for comp in components(G):
@@ -256,16 +256,15 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
 
     Fills one color array indexed by G's vertices, one vertex set at a
     time. One layer_parity sweep of the set gives every bipartite component
-    its 2-coloring; only the others are split into components. One with a
-    vertex of degree at most two inside it is colored without its least
-    such vertex, which then takes the least color its neighbours leave
-    free. Any other component is copied once and cut by decompose():
-    the ten-vertex base case is colored directly, a cut path colors its
-    sides and recombines them with combine_p3, and a clique or star cutset
-    colors each side together with the cut and fits it to the cut, by
-    palette permutation or by normalize_on_star. Raises
-    NoDecompositionFound when decompose finds nothing, which only happens
-    off-class.
+    its 2-coloring and lists the other components. One with a vertex of
+    degree at most two inside it is colored without its least such vertex,
+    which then takes the least color its neighbours leave free. Any other
+    component is copied once and cut by decompose(): the ten-vertex base
+    case is colored directly, a cut path colors its sides and recombines
+    them with combine_p3, and a clique or star cutset colors each side
+    together with the cut and fits it to the cut, by palette permutation or
+    by normalize_on_star. Raises NoDecompositionFound when decompose finds
+    nothing, which only happens off-class.
     """
     if budget is None:
         budget = SearchBudget.fresh()
@@ -279,14 +278,14 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
 
 def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> None:
     """Color G[keep] into ``out``: the bipartite components from one
-    layer_parity sweep, then each component of its clash mask in turn."""
+    layer_parity sweep, then each non-bipartite component it lists in turn."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
     adj = G.adj
     odd, clash = layer_parity(adj, keep)
-    for v in iter_bits(keep & ~clash):
+    for v in iter_bits(keep & ~sum(clash)):
         out[v] = 1 + (odd >> v & 1)
-    for comp in components_within(G, clash):
+    for comp in clash:
         low = next((v for v in iter_bits(comp) if (adj[v] & comp).bit_count() <= 2), None)
         if low is not None:
             _color(G, comp & ~(1 << low), out, budget, depth - 1)

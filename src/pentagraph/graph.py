@@ -76,9 +76,15 @@ class Graph:
         return (1 << self.n) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        """ContractViolation for an id outside 0..n-1."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ContractViolation(f"edge ({u}, {v}) names a vertex outside 0..{self.n - 1}")
         return self.adj[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
+        """ContractViolation for an id outside 0..n-1."""
+        if not 0 <= v < self.n:
+            raise ContractViolation(f"{v} is not a vertex of the graph")
         return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
@@ -310,10 +316,10 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
     (cyclically) are edges and whose length is odd.
     """
     # layer_parity decides and colors. Only a failure searches again: bfs()
-    # from the least vertex of its clash mask, the least vertex of a
-    # non-bipartite component, up to the first vertex in queue order with a
-    # neighbour in its own layer, closed by the least such neighbour.
-    # Same-parity neighbours of a vertex are same-layer ones.
+    # from the least vertex of the first non-bipartite component, up to the
+    # first vertex in queue order with a neighbour in its own layer, closed
+    # by the least such neighbour. Same-parity neighbours of a vertex are
+    # same-layer ones.
     adj = G.adj
     within = G.full_mask() if within is None else within & G.full_mask()
     odd, clash = layer_parity(adj, within)
@@ -322,7 +328,7 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
             tuple([odd >> v & 1 if within >> v & 1 else -1 for v in range(G.n)]), None
         )
     even = within & ~odd
-    _, parent, order = bfs(G, clash & -clash, within)
+    _, parent, order = bfs(G, clash[0] & -clash[0], within)
     for x in order:
         same = adj[x] & (odd if odd >> x & 1 else even)
         if same:
@@ -330,21 +336,23 @@ def is_bipartite(G: Graph, within: int | None = None) -> BipartiteCheck:
             return BipartiteCheck(None, _odd_walk(parent, x, y))
 
 
-def layer_parity(adj, within: int) -> tuple[int, int]:
+def layer_parity(adj, within: int) -> tuple[int, list[int]]:
     """Breadth-first layers of the subgraph that the adjacency masks ``adj``
     induce on ``within``, one component at a time from its least vertex.
     Bits of ``within`` that name no vertex are ignored.
 
     Returns ``(odd, clash)``: ``odd`` is the mask of the vertices at odd
-    distance from their component's least vertex, and ``clash`` the mask of
-    the vertices whose component has an edge inside one of its layers, that
-    is, the union of the non-bipartite components. So ``clash`` is 0 exactly
-    when the subgraph is bipartite, and off ``clash`` ``odd`` is the side
-    is_bipartite colors 1, component by component.
+    distance from their component's least vertex, and ``clash`` the list of
+    the components with an edge inside one of their layers, that is, the
+    non-bipartite components, as masks in ascending order of least vertex.
+    So ``clash`` is empty exactly when the subgraph is bipartite, and off
+    ``clash`` ``odd`` is the side is_bipartite colors 1, component by
+    component.
     """
     # Whole frontiers as masks, as in _frontiers; a layer holds an edge
     # exactly when the neighbours of its vertices meet it.
-    odd = clash = 0
+    odd = 0
+    clash = []
     left = within & ((1 << len(adj)) - 1)
     while left:
         seen = frontier = left & -left
@@ -366,7 +374,7 @@ def layer_parity(adj, within: int) -> tuple[int, int]:
             frontier = nxt & ~seen
             seen |= frontier
         if not flat:
-            clash |= seen
+            clash.append(seen)
         left &= ~seen
     return odd, clash
 

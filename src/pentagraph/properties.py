@@ -9,7 +9,7 @@ tokens the CLI accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import groupby
 
 from .coloring import four_color
 from .decomposition import decompose, find_p3_cutset, find_star_cutset, revalidate_outcome
@@ -132,20 +132,29 @@ def check_local_jump_pairs(G: Graph, budget: SearchBudget | None = None) -> Chec
             for jump in local:
                 if jump.kind == "short":
                     short[jump.across].append(jump.path.interior_mask())
-            ends = [mask_of(jump.path.ends) for jump in local]
-            for i, j in combinations(range(len(local)), 2):
-                shared = ends[i] & ends[j]
-                if not shared or shared & (shared - 1):
-                    continue
-                c = shared.bit_length() - 1
-                inside = local[i].path.interior_mask() | local[j].path.interior_mask()
-                pairs_checked += 1
-                if all(m & ~inside for m in short[c]):
-                    return CheckResult(
-                        False,
-                        detail=f"no short jump across {c}",
-                        witness=(hole.vertices, local[i].path.vertices, local[j].path.vertices),
-                    )
+            # Runs of jumps with one end pair, in find_jumps order. Two jumps
+            # of a run share both ends, so a pair qualifies only across runs
+            # whose end pairs meet in one vertex, taken in (i, j) order.
+            runs = [
+                (ends, [(jump.path.interior_mask(), jump.path.vertices) for jump in run])
+                for ends, run in groupby(local, key=lambda jump: mask_of(jump.path.ends))
+            ]
+            for r, (ends, run) in enumerate(runs):
+                meeting = [
+                    ((ends & e).bit_length() - 1, later)
+                    for e, later in runs[r + 1 :]
+                    if (ends & e).bit_count() == 1
+                ]
+                for m1, p1 in run:
+                    for c, later in meeting:
+                        for m2, p2 in later:
+                            pairs_checked += 1
+                            if all(m & ~(m1 | m2) for m in short[c]):
+                                return CheckResult(
+                                    False,
+                                    detail=f"no short jump across {c}",
+                                    witness=(hole.vertices, p1, p2),
+                                )
     except SearchBudgetExceeded:
         return CheckResult(True, indeterminate=True, detail="budget ran out")
     return CheckResult(True, detail=f"{pairs_checked} qualifying pairs all held")

@@ -65,16 +65,24 @@ class InducedPath:
         return mask_of(self.vertices[1:-1])
 
     def validate(self, G: Graph) -> None:
+        """Raise InvariantViolation unless the vertices are distinct ids of
+        G, consecutive ones adjacent and no others: the first missing edge
+        along the path, else the first chord in (i, j) order."""
         seq = self.vertices
         if len(seq) < 2 or len(set(seq)) != len(seq) or not 0 <= min(seq) <= max(seq) < G.n:
             raise InvariantViolation(f"not a path: {seq}")
-        for i in range(len(seq) - 1):
-            if not G.has_edge(seq[i], seq[i + 1]):
-                raise InvariantViolation(f"missing edge {seq[i]}-{seq[i+1]} in {seq}")
-        for i in range(len(seq)):
-            for j in range(i + 2, len(seq)):
-                if G.has_edge(seq[i], seq[j]):
-                    raise InvariantViolation(f"chord {seq[i]}-{seq[j]} in {seq}")
+        adj = G.adj
+        for u, v in zip(seq, seq[1:]):
+            if not adj[u] >> v & 1:
+                raise InvariantViolation(f"missing edge {u}-{v} in {seq}")
+        # One mask per vertex: its neighbours among the vertices two or more
+        # places on. A chord to an earlier vertex showed at that vertex.
+        ahead = mask_of(seq[2:])
+        for i, u in enumerate(seq[:-2]):
+            if adj[u] & ahead:
+                v = next(v for v in seq[i + 2 :] if adj[u] >> v & 1)
+                raise InvariantViolation(f"chord {u}-{v} in {seq}")
+            ahead ^= 1 << seq[i + 2]
 
 
 @dataclass(frozen=True)
@@ -91,17 +99,27 @@ class Hole:
         return mask_of(self.vertices)
 
     def validate(self, G: Graph) -> None:
+        """Raise InvariantViolation unless the vertices are at least four
+        distinct ids of G and each is adjacent to its two ring neighbours
+        and no other: the first offending pair (i, j), i < j, names a chord
+        or a missing edge."""
         seq = self.vertices
         k = len(seq)
         if k < 4 or len(set(seq)) != k or not 0 <= min(seq) <= max(seq) < G.n:
             raise InvariantViolation(f"not a hole: {seq}")
-        for i in range(k):
-            for j in range(i + 1, k):
-                adjacent = G.has_edge(seq[i], seq[j])
-                consecutive = j - i == 1 or (i == 0 and j == k - 1)
-                if adjacent != consecutive:
-                    kind = "chord" if adjacent else "missing edge"
-                    raise InvariantViolation(f"{kind} {seq[i]}-{seq[j]} in cycle {seq}")
+        adj = G.adj
+        # One mask per vertex: its neighbours among the later vertices, which
+        # must be the next one, and for the first vertex also the last. A
+        # mismatch with an earlier vertex showed at that vertex.
+        ahead = mask_of(seq)
+        for i, u in enumerate(seq[:-1]):
+            ahead ^= 1 << u
+            want = 1 << seq[i + 1] | (1 << seq[-1] if i == 0 else 0)
+            bad = (adj[u] & ahead) ^ want
+            if bad:
+                v = next(v for v in seq[i + 1 :] if bad >> v & 1)
+                kind = "chord" if adj[u] >> v & 1 else "missing edge"
+                raise InvariantViolation(f"{kind} {u}-{v} in cycle {seq}")
 
 
 @dataclass(frozen=True)
@@ -422,6 +440,8 @@ class Jump:
             raise InvariantViolation("jump interior must avoid the hole")
         if self.path.length < 3:
             raise InvariantViolation("jumps have length at least three")
+        if not 0 <= self.across < G.n:
+            raise InvariantViolation(f"'across' {self.across} is not a vertex of the graph")
         if not (G.has_edge(self.across, s) and G.has_edge(self.across, t)):
             raise InvariantViolation("'across' vertex must neighbor both ends")
         others = hmask & ~mask_of((s, t, self.across))
@@ -504,10 +524,12 @@ def contains_induced(
         budget = SearchBudget.fresh()
     order = _search_order(pattern)
     adj = G.adj
-    by_degree = [
-        mask_of(h for h, a in enumerate(adj) if a.bit_count() >= k)
-        for k in map(pattern.degree, range(pattern.n))
-    ]
+    degrees = [a.bit_count() for a in adj]
+    at_least = {
+        k: mask_of(h for h, d in enumerate(degrees) if d >= k)
+        for k in {a.bit_count() for a in pattern.adj}
+    }
+    by_degree = [at_least[a.bit_count()] for a in pattern.adj]
     # For each position: its vertex, and the earlier vertices it must and
     # must not neighbour.
     plan = [

@@ -259,3 +259,35 @@ def o_certificate_holds(G, out):
                         for a, b in combinations(bits(star.leaves), 2))
                 and star.strong == (G.adj[star.center] & w != 0))
     return False
+
+
+def o_path_violation(G, seq):
+    """The message a vertex sequence fails InducedPath.validate with, or
+    None: every pair is tested, missing edges along the path first."""
+    if len(seq) < 2 or len(set(seq)) != len(seq) or not 0 <= min(seq) <= max(seq) < G.n:
+        return f"not a path: {seq}"
+    adjacent = lambda u, v: G.adj[u] >> v & 1 == 1
+    for i in range(len(seq) - 1):
+        if not adjacent(seq[i], seq[i + 1]):
+            return f"missing edge {seq[i]}-{seq[i+1]} in {seq}"
+    for i in range(len(seq)):
+        for j in range(i + 2, len(seq)):
+            if adjacent(seq[i], seq[j]):
+                return f"chord {seq[i]}-{seq[j]} in {seq}"
+    return None
+
+
+def o_hole_violation(G, seq):
+    """The message a vertex sequence fails Hole.validate with, or None:
+    every pair (i, j), i < j, is tested in order."""
+    k = len(seq)
+    if k < 4 or len(set(seq)) != k or not 0 <= min(seq) <= max(seq) < G.n:
+        return f"not a hole: {seq}"
+    for i in range(k):
+        for j in range(i + 1, k):
+            adjacent = G.adj[seq[i]] >> seq[j] & 1 == 1
+            consecutive = j - i == 1 or (i == 0 and j == k - 1)
+            if adjacent != consecutive:
+                kind = "chord" if adjacent else "missing edge"
+                return f"{kind} {seq[i]}-{seq[j]} in cycle {seq}"
+    return None

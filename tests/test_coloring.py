@@ -3,6 +3,7 @@ recursive 3-coloring with its recombination steps, and the brute-force
 chromatic oracle."""
 
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,39 @@ def test_bipartite_graphs_take_one_parity_sweep(monkeypatch):
     sweeps.clear()
     four_color(cycle(5))
     assert sweeps == [0b11111, 0b01100]
+
+
+def test_each_color_call_takes_its_components_from_one_parity_sweep(monkeypatch):
+    # layer_parity lists the non-bipartite components, so _color sweeps its
+    # vertex set once and walks none of them again with components_within.
+    # The members peel a vertex of degree at most two, level after level.
+    real_color, real_parity, real_split = (
+        coloring._color, coloring.layer_parity, coloring.components_within
+    )
+    calls = {"color": 0, "sweep": 0, "split": 0}
+
+    def color(*args):
+        calls["color"] += 1
+        return real_color(*args)
+
+    def parity(adj, within):
+        calls["sweep"] += 1
+        return real_parity(adj, within)
+
+    def split(G, allowed):
+        calls["split"] += sys._getframe(1).f_code is real_color.__code__
+        return real_split(G, allowed)
+
+    monkeypatch.setattr(coloring, "_color", color)
+    monkeypatch.setattr(coloring, "layer_parity", parity)
+    monkeypatch.setattr(coloring, "components_within", split)
+    most = 0
+    for G in member_graphs():
+        before = calls["color"]
+        three_color(G)
+        most = max(most, calls["color"] - before)
+    assert calls == {"color": 3188, "sweep": 3188, "split": 0}
+    assert most == 76  # the longest peel chain, on one member
 
 
 def test_colorings_of_every_seven_vertex_member_are_pinned():

@@ -98,6 +98,17 @@ def test_graph_basics():
     assert list(range(G.n)) == [0, 1, 2, 3]
 
 
+def test_edge_and_degree_queries_refuse_ids_outside_the_graph():
+    # -1 would read the last row, and an id of n or more has no row at all.
+    G = fixture("c5")
+    for bad in (-1, G.n, G.n + 5):
+        with pytest.raises(ContractViolation):
+            G.degree(bad)
+        for u, v in ((bad, 2), (2, bad), (bad, bad)):
+            with pytest.raises(ContractViolation):
+                G.has_edge(u, v)
+
+
 def test_induced_subgraph_relabeling():
     C5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     H, old_ids = induced_subgraph(C5, mask_of([0, 2, 3]))
@@ -325,17 +336,19 @@ def test_layer_parity_agrees_with_is_bipartite(case):
     G, within = case
     odd, clash = layer_parity(G.adj, within)
     # is_bipartite is built on the kernel, so the truth comes from networkx:
-    # clash is the union of the non-bipartite components.
+    # clash lists the non-bipartite components, by least vertex.
     H = to_nx(G).subgraph(bit_list(within))
-    parts = [mask_of(comp) for comp in nx.connected_components(H)]
-    assert clash == sum(m for m in parts if not nx.is_bipartite(H.subgraph(bit_list(m))))
+    parts = sorted(
+        (mask_of(comp) for comp in nx.connected_components(H)), key=lambda m: m & -m
+    )
+    assert clash == [m for m in parts if not nx.is_bipartite(H.subgraph(bit_list(m)))]
     check = is_bipartite(G, within=within)
-    assert bool(check) == (clash == 0)
+    assert bool(check) == (clash == [])
     if check:
         assert odd == mask_of(v for v, side in enumerate(check.two_coloring) if side == 1)
     # Off clash, odd is each bipartite component's own 1-side.
     for m in parts:
-        if not m & clash:
+        if m not in clash:
             sides = is_bipartite(G, within=m).two_coloring
             assert odd & m == mask_of(v for v, side in enumerate(sides) if side == 1)
 

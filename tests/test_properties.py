@@ -19,12 +19,15 @@ from pentagraph import (
     contains_induced,
     distance,
     enumerate_induced_paths,
+    find_jumps,
     five_holes,
+    girth,
     is_isomorphic,
     make_graph,
     mask_of,
     naive_recognize,
     recognize,
+    shortest_cycle,
 )
 from pentagraph.fixtures import cycle, fixture, petersen
 
@@ -238,6 +241,57 @@ def jump_pairs_digest(graphs):
             outcome = (str(e), e.witness)
         digest.update(f"{outcome!r}\n".encode())
     return digest.hexdigest()
+
+
+def all_pairs_jump_check(G):
+    """t31 with a pair loop over every pair of jumps of a hole: the
+    reference the pairing by end-pair groups must match, outcome or error."""
+    try:
+        if girth(G) < 5:
+            cycle = shortest_cycle(G)
+            raise InvariantViolation(f"contains a cycle of length {len(cycle)}", cycle)
+        if contains_induced(G, fixture("p2")) is not None:
+            return (True, False, "premise void: contains p2", None)
+        checked = 0
+        for hole in five_holes(G):
+            local = find_jumps(G, hole)
+            short = {c: [] for c in hole.vertices}
+            for jump in local:
+                if jump.kind == "short":
+                    short[jump.across].append(jump.path.interior_mask())
+            for p1, p2 in combinations([jump.path for jump in local], 2):
+                shared = mask_of(p1.ends) & mask_of(p2.ends)
+                if shared.bit_count() != 1:
+                    continue
+                c = shared.bit_length() - 1
+                checked += 1
+                inside = p1.interior_mask() | p2.interior_mask()
+                if all(m & ~inside for m in short[c]):
+                    witness = (hole.vertices, p1.vertices, p2.vertices)
+                    return (False, False, f"no short jump across {c}", witness)
+    except InvariantViolation as e:
+        return (str(e), e.witness)
+    return (True, False, f"{checked} qualifying pairs all held", None)
+
+
+def test_jump_pairs_match_the_all_pairs_loop():
+    # Only jumps whose end pairs meet in one hole vertex can qualify, and
+    # check_local_jump_pairs pairs only those; the verdict, detail, witness
+    # and qualifying-pair count are those of the loop over every pair.
+    graphs = [*member_graphs(), *off_class_graphs(1000, "t31-all-pairs"), jump_clash_gadget()]
+    failed = raised = 0
+    for G in graphs:
+        try:
+            r = check_local_jump_pairs(G)
+            got = (r.ok, r.indeterminate, r.detail, r.witness)
+        except InvariantViolation as e:
+            got = (str(e), e.witness)
+        assert got == all_pairs_jump_check(G)
+        failed += got[0] is False
+        raised += len(got) == 2
+    # 47 off-class graphs and the gadget fail a qualifying pair; 679 raise
+    # on an even local jump.
+    assert (failed, raised) == (48, 679)
 
 
 def test_jump_pairs_are_pinned():

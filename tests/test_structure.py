@@ -37,9 +37,11 @@ from test_decomposition import glue_petersens_at_vertex
 from test_graph import heawood, rand_graph
 from oracles import (
     o_embeddings,
+    o_hole_violation,
     o_induced_cycle_masks,
     o_induced_paths,
     o_is_linked,
+    o_path_violation,
 )
 
 
@@ -99,6 +101,49 @@ def test_witness_validation():
         Embedding((0, 1, 1)).validate(C5, make_graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(InvariantViolation):
         Embedding((0, 1, 3)).validate(C5, make_graph(3, [(0, 1), (1, 2)]))
+
+
+@st.composite
+def sequences_on_graphs(draw):
+    # A vertex sequence laid along a path or cycle of a graph, which then
+    # gains a few random edges and may lose one of its own; the sequence may
+    # then have two places swapped or one replaced by any id near 0..n-1.
+    n = draw(st.integers(2, 12))
+    seq = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    own = set(zip(seq, seq[1:]))
+    if len(seq) > 2 and draw(st.booleans()):
+        own.add((seq[-1], seq[0]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.sets(st.sampled_from(pairs), max_size=3)) if pairs else set()
+    if own and draw(st.booleans()):
+        own.discard(draw(st.sampled_from(sorted(own))))
+    G = make_graph(n, own | extra)
+    change = draw(st.sampled_from(("none", "none", "swap", "replace")))
+    if change == "swap" and len(seq) > 1:
+        i, j = draw(st.lists(st.integers(0, len(seq) - 1), min_size=2, max_size=2, unique=True))
+        seq[i], seq[j] = seq[j], seq[i]
+    elif change == "replace":
+        seq[draw(st.integers(0, len(seq) - 1))] = draw(st.integers(-1, n + 1))
+    return G, tuple(seq)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(sequences_on_graphs())
+@example((make_graph(4, [(0, 1), (1, 2), (0, 2)]), (0, 1, 2, 3)))  # chord before a missing edge
+@example((make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (0, 5), (1, 4)]),
+          (0, 1, 2, 3, 4, 5)))  # two chords from the first vertex, and one from the next
+def test_path_and_hole_validation_match_the_pairwise_reference(case):
+    # Each validator raises exactly when the all-pairs loop finds a fault,
+    # and with that loop's message: the first offending pair in its order.
+    G, seq = case
+    for make, reference in ((InducedPath, o_path_violation), (Hole, o_hole_violation)):
+        want = reference(G, seq)
+        if want is None:
+            make(seq).validate(G)
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                make(seq).validate(G)
+            assert str(err.value) == want
 
 
 def test_enumerate_induced_paths_matches_oracle():
@@ -561,6 +606,14 @@ def test_jump_validate_rejects_nonlocal_paths_and_derives_kind():
     short = Jump(InducedPath((0, 2, 5, 4)), C, 9)
     short.validate(S)
     assert short.kind == "short" and Jump(path, C, 3).kind == "local"
+
+
+def test_jump_validate_refuses_an_across_outside_the_graph():
+    S = star_gadget()
+    C = Hole((0, 1, 3, 4, 9))
+    for bad in (-1, S.n, S.n + 5):
+        with pytest.raises(InvariantViolation, match="not a vertex"):
+            Jump(InducedPath((0, 2, 5, 4)), C, bad).validate(S)
 
 
 def test_jump_steps_on_random_grow_graphs(random_pentagraphs_40):
