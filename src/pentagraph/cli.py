@@ -40,7 +40,7 @@ from .formats import (
     write_dot,
     write_graph6,
 )
-from .generate import EXHAUSTIVE_MAX_N, CorpusSpec, generate_corpus
+from .generate import CorpusSpec, generate_corpus
 from .graph import INFINITY, Graph, bit_list, layer_parity
 from .properties import CHECKS, CheckResult
 from .recognition import (
@@ -332,8 +332,6 @@ def cmd_decompose(args):
 def cmd_corpus(args):
     if not args.out:
         raise _UsageError("corpus needs --out FILE for the graph6 lines")
-    if args.mode == "exhaustive" and args.n_max > EXHAUSTIVE_MAX_N:
-        raise _UsageError(f"exhaustive mode is capped at --n-max {EXHAUSTIVE_MAX_N}")
     spec = CorpusSpec(
         mode=args.mode,
         n_min=args.n_min,

@@ -246,10 +246,10 @@ def _jump_star(G: Graph, C: Hole, budget: SearchBudget) -> ParityStarCutset | No
         labelings.append(tuple(reversed(rot)))
     tried = set()
     for c1, c2, c3, c4, c5 in labelings:
-        # The quiet-side condition: no short jumps across c3, c4, c5, no
-        # local jumps across c4, and every local jump across c3 or c5
-        # meets the interior of some short jump.
-        if shorts[c3] or shorts[c4] or shorts[c5] or locals_[c4]:
+        # The quiet-side condition: no jumps across c4, no short jumps
+        # across c3 or c5, and every local jump across c3 or c5 meets the
+        # interior of some short jump.
+        if shorts[c3] or shorts[c5] or locals_[c4]:
             continue
         if any(
             j.path.interior_mask() & short_interiors == 0 for j in locals_[c3] + locals_[c5]
@@ -381,11 +381,11 @@ def revalidate_outcome(
         # Leaves must be neighbours of the center, so vertices other than it.
         if star is None or not 0 <= star.center < G.n or star.leaves & ~G.adj[star.center]:
             raise InvariantViolation("star certificate is missing or not a star of the graph")
-        again = verify_parity_star_cutset(G, star.center, star.leaves, budget)
+        comps = tuple(components_within(G, G.full_mask() & ~star.cutset_mask()))
         w = star.witness_component
-        if again is None or star.components != again.components or w not in star.components:
+        if len(comps) < 2 or star.components != comps or w not in comps:
             raise InvariantViolation("star certificate's components fail re-verification")
-        if w != again.witness_component and not _joins_leaves_evenly(G, star.leaves, w, budget):
+        if not _joins_leaves_evenly(G, star.leaves, w, budget or SearchBudget.fresh()):
             raise InvariantViolation("the witness component misses an even leaf-to-leaf path")
         if star.strong != bool(G.adj[star.center] & w):
             raise InvariantViolation("strong flag disagrees with the center's witness neighbors")

@@ -2,8 +2,8 @@
 reading of each certificate.
 
 Seed certificates come from every arm decompose() returns, on fixtures,
-gadgets and seeded random graphs chosen because decompose reaches the arm
-on them. Each example damages one field of one seed: an id out of range,
+gadgets, the 95-vertex member cut by a path and seeded random graphs
+chosen because decompose reaches the arm on them. Each example damages one field of one seed: an id out of range,
 a tuple one too long or too short, a leaf added or dropped, sides swapped,
 merged or reordered, a wrong witness, or the strong flag flipped.
 revalidate_outcome must refuse the mutant with InvariantViolation exactly
@@ -32,6 +32,7 @@ from pentagraph.fixtures import cycle, petersen
 from conftest import p3_gadget, star_gadget
 from oracles import o_certificate_holds
 from test_decomposition import glue_petersens_at_vertex, glue_petersens_on_path
+from test_p3_members import p3_member_graphs
 
 # Seeds of gnp() on which decompose returns the arm; a plain sample of
 # these graphs almost never reaches the clique, p3 or star arm.
@@ -57,6 +58,7 @@ def seed_certificates():
     """(graph, outcome) pairs covering every arm of decompose."""
     out = [(G, decompose(G)) for G in (
         cycle(6), cycle(5), petersen(), glue_petersens_at_vertex(), glue_petersens_on_path(),
+        p3_member_graphs()[0],
     )]
     G = p3_gadget()
     out.append((G, DecompositionOutcome("p3", p3=find_p3_cutset(G))))

@@ -269,7 +269,7 @@ def test_corpus_usage_errors(capsys):
     code, _, err = run(["corpus", "--n-max", "5"], capsys)
     assert code == 3 and "needs --out" in err
     code, _, err = run(["corpus", "--n-max", "99", "--out", "/dev/null"], capsys)
-    assert code == 3 and "capped at --n-max 10" in err
+    assert code == 3 and "budgeted for n_max <= 10" in err
 
 
 def test_verify_command(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from pentagraph.decomposition import DecompositionOutcome
 from pentagraph.fixtures import cycle, fixture, petersen
 
 from conftest import make_rng, p3_gadget, star_gadget
+from oracles import o_certificate_holds
 
 
 def glue_petersens_at_vertex():
@@ -474,6 +476,7 @@ def test_revalidate_rejects_bad_certificates():
 def test_revalidate_checks_a_star_certificates_own_fields():
     G = star_gadget()
     side, other = mask_of([3, 4, 5, 9]), mask_of([6, 7, 8])
+    rest = side | other | 1 << 2
     good = verify_parity_star_cutset(G, 0, mask_of([1, 2]))
     assert good == ParityStarCutset(0, mask_of([1, 2]), side, True, (side, other))
     revalidate_outcome(G, DecompositionOutcome("star", star=good))
@@ -487,9 +490,40 @@ def test_revalidate_checks_a_star_certificates_own_fields():
         ParityStarCutset(0, mask_of([1, 2]), side, True, (other, side)),
         ParityStarCutset(0, mask_of([1, 2]), side | other, True, (side, other)),
         ParityStarCutset(0, mask_of([1, 2]), other, True, (side, other)),
+        # Without 0 and 1 the rest stays connected: no cutset, though the
+        # one component is listed.
+        ParityStarCutset(0, mask_of([1]), rest, True, (rest,)),
     ]:
         with pytest.raises(InvariantViolation):
             revalidate_outcome(G, DecompositionOutcome("star", star=bad))
+
+
+def test_revalidate_refuses_a_witness_without_even_leaf_paths():
+    # The gadget with 6-7-2 in place of 6-7-8-2, and 8 in place of 9: the
+    # side {6, 7} joins the leaves 1 and 2 only by the odd path 1-6-7-2, so
+    # it witnesses nothing, although the side {3, 4, 5, 8} would.
+    G = make_graph(9, [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 2), (1, 6), (6, 7), (7, 2),
+                       (0, 8), (8, 4)])
+    side, other = mask_of([3, 4, 5, 8]), mask_of([6, 7])
+    bad = ParityStarCutset(0, mask_of([1, 2]), other, False, (side, other))
+    assert not o_certificate_holds(G, DecompositionOutcome("star", star=bad))
+    with pytest.raises(InvariantViolation, match="misses an even leaf-to-leaf path"):
+        revalidate_outcome(G, DecompositionOutcome("star", star=bad))
+    revalidate_outcome(G, DecompositionOutcome("star", star=replace(bad, witness_component=side,
+                                                                    strong=True)))
+
+
+def test_star_revalidation_steps_are_pinned():
+    # Only the witness is searched, one even path per leaf pair: four steps
+    # for either side of the gadget's star. A check that searched both
+    # sides spends 8, and one that then searched the weak side again 12.
+    G = star_gadget()
+    side, other = mask_of([3, 4, 5, 9]), mask_of([6, 7, 8])
+    for witness, strong in ((side, True), (other, False)):
+        cert = ParityStarCutset(0, mask_of([1, 2]), witness, strong, (side, other))
+        budget = SearchBudget(1000)
+        revalidate_outcome(G, DecompositionOutcome("star", star=cert), budget)
+        assert 1000 - budget.remaining == 4
 
 
 def test_decompose_terminates_via_recursive_shrink(small_pentagraphs):

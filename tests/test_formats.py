@@ -113,6 +113,26 @@ def test_graph6_parse_errors():
         parse_graph6(too_big + "?" * 2000)
 
 
+def test_inputs_above_the_vertex_cap_are_parse_errors():
+    # A complete 129-vertex graph6 line and a 129-vertex DIMACS header pass
+    # every syntax check and fail construction; a second '~' asks for a
+    # 36-bit count, which is refused at that character.
+    n = HARD_MAX_VERTICES + 1
+    line = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    line += "?" * ((n * (n - 1) // 2 + 5) // 6)
+    for parse, text, offset in [
+        (parse_graph6, line, 0),
+        (parse_graph6, ">>graph6<<" + line, 10),
+        (parse_dimacs, f"p edge {n} 0\n", 0),
+    ]:
+        with pytest.raises(ParseError, match=f"vertex count {n}") as err:
+            parse(text)
+        assert err.value.offset == offset
+    with pytest.raises(ParseError, match="above 258047") as err:
+        parse_graph6("~~??????" + "?" * 10)
+    assert err.value.offset == 1
+
+
 def test_dimacs_round_trip():
     text = write_dimacs(cycle(5))
     assert text.splitlines()[0] == "p edge 5 5"

@@ -2,8 +2,9 @@
 every private module-level name of the package is referred to by the
 package itself, not only by tests, only SearchBudget.spend raises
 SearchBudgetExceeded, only cli.main builds a report, the theorem checkers
-run no induced-path search of their own, and the 3-coloring copies a
-subgraph only in one place.
+run no induced-path search of their own, the 3-coloring copies a
+subgraph only in one place, and revalidation reads a star certificate
+without running a star-cutset builder.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -233,3 +234,39 @@ def test_the_coloring_copies_only_per_component():
     # no cut side is relabelled and no witness renamed a second time.
     source = (PACKAGE / "coloring.py").read_text(encoding="utf-8")
     assert copy_sites(source) == ["_color", "_color"]
+
+
+STAR_BUILDERS = (
+    "verify_parity_star_cutset",
+    "_strong_star",
+    "bruteforce_star_search",
+    "find_star_cutset",
+    "find_strong_parity_star_cutset",
+)
+
+
+def builder_call_sites(source: str) -> list[str]:
+    """Where ``source`` calls a star-cutset builder."""
+    return scoped_sites(
+        source, lambda node: isinstance(node, ast.Call) and _name(node.func) in STAR_BUILDERS
+    )
+
+
+def test_the_check_sees_a_builder_call():
+    source = (
+        "def revalidate_outcome(G, outcome, budget):\n"
+        "    again = verify_parity_star_cutset(G, 0, 6, budget)\n"
+        "    return decomposition._strong_star(G, 0, 6, budget)\n\n\n"
+        "def check(G):\n    return find_star_cutset(G, None) or _joins_leaves_evenly(G)\n"
+    )
+    assert builder_call_sites(source) == [
+        "revalidate_outcome", "revalidate_outcome", "check",
+    ]
+
+
+def test_revalidation_builds_no_star():
+    # A star certificate is checked by reading it: its components, one
+    # search of its witness and its strong flag, not by building a star
+    # again and comparing.
+    sites = builder_call_sites((PACKAGE / "decomposition.py").read_text(encoding="utf-8"))
+    assert sites and "revalidate_outcome" not in sites

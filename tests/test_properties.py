@@ -10,6 +10,8 @@ import pytest
 from pentagraph import (
     CHECKS,
     PENTAGRAPH,
+    CheckResult,
+    DecompositionOutcome,
     InvariantViolation,
     SearchBudget,
     check_decomposition,
@@ -17,6 +19,7 @@ from pentagraph import (
     check_local_jump_pairs,
     check_p2_extension,
     contains_induced,
+    decompose,
     distance,
     enumerate_induced_paths,
     find_jumps,
@@ -29,9 +32,11 @@ from pentagraph import (
     recognize,
     shortest_cycle,
 )
+from pentagraph import properties
 from pentagraph.fixtures import cycle, fixture, petersen
 
 from conftest import make_rng, star_gadget
+from test_certificate_mutations import GNP_SEEDS, gnp
 from test_coloring import member_graphs
 from test_decomposition import glue_petersens_at_vertex
 
@@ -110,6 +115,22 @@ def test_decomposition_check_counterexample_and_budget():
     assert not r.ok and r.detail == "no decomposition arm applies"
     r = check_decomposition(petersen(), SearchBudget(1))
     assert r.ok and r.indeterminate
+
+
+def test_decomposition_check_reports_a_failed_revalidation(monkeypatch):
+    # A star certificate costs steps to revalidate: a budget that covers
+    # decompose exactly runs out there; a certificate that does not hold
+    # is a counterexample naming the arm.
+    G = gnp(GNP_SEEDS["star"][0])
+    budget = SearchBudget(10**9)
+    assert decompose(G, budget).variant == "star"
+    r = check_decomposition(G, SearchBudget(10**9 - budget.remaining))
+    assert r == CheckResult(True, indeterminate=True, detail="budget ran out revalidating")
+    monkeypatch.setattr(properties, "decompose",
+                        lambda G, budget: DecompositionOutcome("low_degree", vertex=0))
+    r = check_decomposition(petersen())
+    assert not r.ok and not r.indeterminate
+    assert r.detail == "low_degree: low-degree certificate names no vertex of degree at most 2"
 
 
 def test_p2_extension_premise_void():

@@ -616,6 +616,24 @@ def test_jump_validate_refuses_an_across_outside_the_graph():
             Jump(InducedPath((0, 2, 5, 4)), C, bad).validate(S)
 
 
+def test_jump_validate_refuses_each_broken_field():
+    # Induced paths of the gadget that break one clause of a jump each.
+    S = star_gadget()
+    C = Hole((0, 1, 3, 4, 9))
+    for path, across, message in [
+        ((0, 2, 5), 9, "ends must lie on the hole"),
+        ((0, 1), 9, "ends must be non-adjacent"),
+        ((0, 1, 3), 1, "interior must avoid the hole"),
+        ((0, 2, 5, 4), 1, "must neighbor both ends"),
+    ]:
+        with pytest.raises(InvariantViolation, match=message):
+            Jump(InducedPath(path), C, across).validate(S)
+    # A two-edge path between hole vertices closes a 4-cycle.
+    G = make_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5), (5, 2)])
+    with pytest.raises(InvariantViolation, match="length at least three"):
+        Jump(InducedPath((0, 5, 2)), Hole((0, 1, 2, 3, 4)), 1).validate(G)
+
+
 def test_jump_steps_on_random_grow_graphs(random_pentagraphs_40):
     # Pins the work of the jump search on the first 100 random members: a
     # search that also walked the non-local paths spends 461,374 steps, and
