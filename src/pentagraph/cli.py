@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"else {DEFAULT_MAX_STEPS})",
         )
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for verify; other commands accept and ignore it")
+                       help="worker processes for verify, at least 1; "
+                       "other commands check it and ignore it")
 
     p = sub.add_parser("recognize", help="decide class membership")
     add_input(p)
@@ -144,6 +145,8 @@ def main(argv=None) -> int:
         return 3
     started = time.perf_counter()
     try:
+        if args.jobs < 1:
+            raise _UsageError("--jobs must be positive")
         code, descriptor, outcome, exhausted = args.func(args)
         if outcome is not None:
             report = _report(args, descriptor, outcome, exhausted, started)

@@ -504,17 +504,21 @@ def contains_induced(
 ) -> Embedding | None:
     """First induced embedding of ``pattern`` into G, or None.
 
-    Backtracking over pattern vertices in a most-constrained-first order.
-    Pattern vertex u draws its candidates from one host mask: the unused
-    hosts of degree at least deg(u), inside N(assign[w]) for each placed
-    neighbour w of u and outside it for each placed non-neighbour. The
-    hosts are tried in ascending order, one budget step each, so the
-    first embedding is the least one keyed by hosts in search order.
+    Backtracking over pattern vertices in a most-constrained-first order,
+    with one candidate mask per position, at first the hosts of degree at
+    least that of its pattern vertex. Placing u on host h narrows the mask
+    of each later v: to N(h) if v neighbours u, else to ``two(h)``, the
+    hosts at distance exactly two from h, if v and u share a neighbour,
+    else to the hosts off N[h]. Then h is rejected as soon as a mask
+    empties (forward checking). ``two(h)`` is built only for placed hosts,
+    once per call.
 
-    The mask holds exactly the hosts that keep the partial map induced,
-    so any sound prune would change the steps, never the answer. One by
-    distance (host distance at most pattern distance, as a pattern path
-    maps onto a host walk) would cut only branches holding no embedding.
+    Every induced embedding extending the partial map sends such a v off
+    N[h] and onto a neighbour of the image of their common neighbour, so
+    the distance-two rule, like the rejection, drops only hosts that have
+    no completion. The hosts left are tried in ascending order, one budget
+    step each, so the first embedding is the one plain backtracking finds:
+    the least one keyed by hosts in search order.
     """
     if pattern.n > G.n:
         return None
@@ -529,38 +533,51 @@ def contains_induced(
         k: mask_of(h for h, d in enumerate(degrees) if d >= k)
         for k in {a.bit_count() for a in pattern.adj}
     }
-    by_degree = [at_least[a.bit_count()] for a in pattern.adj]
-    # For each position: its vertex, and the earlier vertices it must and
-    # must not neighbour.
-    plan = [
-        (
-            u,
-            tuple(w for w in order[:pos] if pattern.has_edge(u, w)),
-            tuple(w for w in order[:pos] if not pattern.has_edge(u, w)),
+    # For each position, the relation of each later vertex to its own, as
+    # an index into (N(h), two(h), outside N[h]).
+    padj = pattern.adj
+    later = [
+        tuple(
+            0 if padj[u] >> v & 1 else 1 if padj[u] & padj[v] else 2
+            for v in order[pos + 1:]
         )
         for pos, u in enumerate(order)
     ]
+    two: dict[int, int] = {}
     assign = [-1] * pattern.n
 
-    def place(pos: int, used: int) -> bool:
+    def place(pos: int, masks: list[int]) -> bool:
         if pos == len(order):
             return True
-        u, linked, unlinked = plan[pos]
-        cand = by_degree[u] & ~used
-        for w in linked:
-            cand &= adj[assign[w]]
-        for w in unlinked:
-            cand &= ~adj[assign[w]]
+        cand = masks[0]
+        rest = masks[1:]
+        rel = later[pos]
+        wants_two = 1 in rel
         while cand:
             low = cand & -cand
             cand ^= low
             budget.spend()
-            assign[u] = low.bit_length() - 1
-            if place(pos + 1, used | low):
-                return True
+            h = low.bit_length() - 1
+            near = adj[h]
+            if wants_two and h not in two:
+                reach = 0
+                for x in iter_bits(near):
+                    reach |= adj[x]
+                two[h] = reach & ~(near | low)
+            by_rel = (near, two.get(h, 0), ~(near | low))
+            narrowed = []
+            for m, r in zip(rest, rel):
+                m &= by_rel[r]
+                if not m:
+                    break
+                narrowed.append(m)
+            else:
+                assign[order[pos]] = h
+                if place(pos + 1, narrowed):
+                    return True
         return False
 
-    if place(0, 0):
+    if place(0, [at_least[padj[u].bit_count()] for u in order]):
         emb = Embedding(tuple(assign))
         emb.validate(G, pattern)
         return emb

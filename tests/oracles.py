@@ -145,6 +145,42 @@ def o_embeddings(host, pattern):
     return out
 
 
+def o_contains_induced(host, pattern, order):
+    """Plain backtracking for an induced embedding, placing pattern vertices
+    along ``order``. Each draws its hosts, in ascending order, from one mask:
+    the unused hosts of at least its degree, adjacent to the image of each
+    placed neighbour and not to that of each placed non-neighbour, with no
+    look-ahead and no distance-two rule. Returns (mapping or None, steps),
+    one step per host tried."""
+    if pattern.n > host.n:
+        return None, 0
+    degree_ok = [
+        sum(1 << h for h in range(host.n) if host.adj[h].bit_count() >= a.bit_count())
+        for a in pattern.adj
+    ]
+    steps = 0
+    assign = [-1] * pattern.n
+
+    def place(pos, used):
+        nonlocal steps
+        if pos == len(order):
+            return True
+        u = order[pos]
+        cand = degree_ok[u] & ~used
+        for w in order[:pos]:
+            cand &= host.adj[assign[w]] if pattern.adj[u] >> w & 1 else ~host.adj[assign[w]]
+        for h in bits(cand):
+            steps += 1
+            assign[u] = h
+            if place(pos + 1, used | 1 << h):
+                return True
+        return False
+
+    if place(0, 0):
+        return tuple(assign), steps
+    return None, steps
+
+
 def o_chromatic(G, k_max):
     """Least k admitting a proper coloring, by trying every assignment."""
     if G.n == 0:

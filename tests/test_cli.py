@@ -318,6 +318,20 @@ def test_verify_starts_no_more_workers_than_lines(capsys, monkeypatch, tmp_path)
     assert asked == [2]
 
 
+def test_jobs_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    corpus = tmp_path / "two.g6"
+    corpus.write_text(write_graph6(fixture("c5")) + "\n" + write_graph6(petersen()) + "\n")
+    for argv in (["verify", "t12", str(corpus), "--jobs", "0"],
+                 ["verify", "t12", str(corpus), "--jobs", "-2"],
+                 ["color3", "fixture:c5", "--jobs", "0"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (3, "", "error: --jobs must be positive\n"), argv
+
+
 def test_verify_counterexample_and_budget(capsys, tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text(

@@ -26,8 +26,8 @@ from pentagraph import (
     recognize,
 )
 from pentagraph import structure
-from pentagraph.fixtures import cycle, fixture, petersen
-from pentagraph.graph import girth, is_bipartite
+from pentagraph.fixtures import FIXTURE_NAMES, cycle, fixture, petersen
+from pentagraph.graph import girth, induced_subgraph, is_bipartite
 from pentagraph.generate import enumerate_girth5
 from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_steps
 
@@ -36,6 +36,7 @@ from test_coloring import member_graphs
 from test_decomposition import glue_petersens_at_vertex
 from test_graph import heawood, rand_graph
 from oracles import (
+    o_contains_induced,
     o_embeddings,
     o_hole_violation,
     o_induced_cycle_masks,
@@ -665,12 +666,21 @@ def test_find_jumps_rejects_bad_input():
 
 def test_contains_induced_matches_oracle():
     # The search tries hosts in ascending order along _search_order, so
-    # its answer is the least embedding keyed by hosts in that order.
+    # its answer is the least embedding keyed by hosts in that order. The
+    # girth-5 pairs hold pattern vertices at distance two, whose hosts the
+    # search draws from the hosts at distance two.
     rng = make_rng("embed")
+    girth5 = list(enumerate_girth5(7))
+    pairs = []
     for _ in range(120):
         hn = rng.randrange(1, 10)
         host = rand_graph(rng, hn, rng.choice((0.2, 0.4, 0.7)))
-        pat = rand_graph(rng, rng.randrange(1, hn + 1), 0.4)
+        pairs.append((host, rand_graph(rng, rng.randrange(1, hn + 1), 0.4)))
+    for _ in range(80):
+        host, other = rng.sample(girth5, 2)
+        keep = sum(1 << v for v in rng.sample(range(7), rng.randrange(3, 7)))
+        pairs.append((host, induced_subgraph(other, keep)[0]))
+    for host, pat in pairs:
         emb = contains_induced(host, pat)
         refs = o_embeddings(host, pat)
         if not refs:
@@ -679,6 +689,42 @@ def test_contains_induced_matches_oracle():
         order = _search_order(pat)
         least = min(refs, key=lambda image: [image[u] for u in order])
         assert emb == Embedding(least)
+
+
+def test_contains_induced_prunes_the_plain_search():
+    # Against the plain candidate-mask backtracking: the same first
+    # embedding, and never more steps, since each rule only drops hosts.
+    rng = make_rng("embed-reference")
+    patterns = [fixture(name) for name in FIXTURE_NAMES]
+    hosts = member_graphs() + patterns
+    hosts += [rand_graph(rng, rng.randrange(5, 16), rng.choice((0.2, 0.3, 0.5))) for _ in range(60)]
+    total = reference_total = 0
+    for host in hosts:
+        for pat in patterns + [rand_graph(rng, rng.randrange(2, 7), 0.4)]:
+            budget = SearchBudget(10**9)
+            emb = contains_induced(host, pat, budget)
+            steps = 10**9 - budget.remaining
+            mapping, reference_steps = o_contains_induced(host, pat, _search_order(pat))
+            assert (emb.mapping if emb else None) == mapping
+            assert steps <= reference_steps
+            total += steps
+            reference_total += reference_steps
+    assert total < reference_total / 3
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 40, 63, 64, 127])
+def test_contains_induced_is_indeterminate_only_past_its_steps(index):
+    # Members with p2 (0, 2, 64, 127) and without it (1, 40, 63): the steps
+    # a search spends are exactly the steps it needs, to find or to exhaust.
+    G, p2 = member_graphs()[index], fixture("p2")
+    budget = SearchBudget(10**9)
+    emb = contains_induced(G, p2, budget)
+    steps = 10**9 - budget.remaining
+    budget = SearchBudget(steps)
+    assert contains_induced(G, p2, budget) == emb
+    assert budget.remaining == 0
+    with pytest.raises(SearchBudgetExceeded):
+        contains_induced(G, p2, SearchBudget(steps - 1))
 
 
 def test_contains_induced_cases():
@@ -735,7 +781,9 @@ def test_member_step_ledger():
     # perfbench/members.g6 (read, never written), each search with its own
     # budget per graph and the jumps taken over every 5-hole. A change to
     # a DFS shows its step change here. Before the unbounded DFS swept from
-    # t at each node, recognize spent 392,951 steps and find_jumps 648,570.
+    # t at each node, recognize spent 392,951 steps and find_jumps 648,570;
+    # before contains_induced gained its distance-two masks and look-ahead,
+    # the p2 search spent 41,517.
     ledger = dict.fromkeys(("recognize", "five_holes", "find_jumps", "contains_induced_p2"), 0)
     p2 = fixture("p2")
     for G in member_graphs():
@@ -753,5 +801,5 @@ def test_member_step_ledger():
         "recognize": 29332,
         "five_holes": 14945,
         "find_jumps": 64613,
-        "contains_induced_p2": 41517,
+        "contains_induced_p2": 6014,
     }
