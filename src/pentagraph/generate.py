@@ -22,9 +22,20 @@ Parity settles many probes without a search: ends in different
 components are joined by no path, and ends on opposite sides of a
 bipartite component only by odd ones, so neither pair needs a probe.
 The other probes look for the shortest possible witness first, a path of
-six edges, which a search bounded by the distances to the far end finds
-or rules out cheaply; only when there is none does the unbounded search
-run, so every answer is the one the unbounded search alone would give.
+six edges, and only when there is none does the unbounded search run, so
+every answer is the one the unbounded search alone would give.
+
+The six-edge test is mask algebra, not a search. It rests on a lemma: if
+G has girth at least five and dist(u, v) >= 4, every u-v walk of six
+edges that never turns straight back is an induced path. A repeated
+vertex would close a non-backtracking walk of at most four edges, a
+triangle or a 4-cycle, or would put u and v within distance one. A chord
+spanning two or three steps of the walk closes a triangle or a 4-cycle,
+and one spanning four or more shortens it to a u-v walk of at most three
+edges. The grower's graph has girth at least five by construction and
+the distance is checked first, so a six-edge witness exists exactly when
+some middle vertex c off N[u] and N[v] has neighbours a at distance two
+from u and b at distance two from v with a != b.
 """
 
 from __future__ import annotations
@@ -60,6 +71,10 @@ class CorpusSpec:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise ContractViolation(f"unknown corpus mode {self.mode!r}")
+        for name in ("n_min", "n_max", "seed", "target_count"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "target_count"):
+                raise ContractViolation(f"{name} must be an integer, not {value!r}")
         if not 0 <= self.n_min <= self.n_max:
             raise ContractViolation("need 0 <= n_min <= n_max")
         if self.n_max > HARD_MAX_VERTICES:
@@ -94,6 +109,42 @@ def _far_apart(adj: list[int], u: int, v: int) -> bool:
     return not ball & (1 << v | adj[v])
 
 
+def _reach(adj: list[int], mask: int) -> int:
+    """The union of N(x) over the vertices x of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
+def _six_edge_path(adj: list[int], u: int, v: int) -> bool:
+    """True iff an induced u-v path of exactly six edges exists, provided
+    the graph has girth at least five and dist(u, v) >= 4.
+
+    Under those two conditions every non-backtracking u-v walk of six
+    edges is an induced path (see the module docstring), so a witness is
+    a walk u, a', a, c, b, b', v with a at distance exactly two from u, b
+    at distance exactly two from v, c outside N[u] and N[v], and a != b.
+    A middle vertex c seen from both spheres gives such a walk unless the
+    two spheres meet its neighbourhood in the same single vertex. When
+    either condition fails the answer means nothing.
+    """
+    near = 1 << u | 1 << v | adj[u] | adj[v]
+    s2u = _reach(adj, adj[u]) & ~(1 << u | adj[u])
+    s2v = _reach(adj, adj[v]) & ~(1 << v | adj[v])
+    both = s2u | s2v
+    mids = _reach(adj, s2u) & _reach(adj, s2v) & ~near
+    while mids:
+        low = mids & -mids
+        mids ^= low
+        ends = adj[low.bit_length() - 1] & both
+        if ends & (ends - 1):
+            return True
+    return False
+
+
 def enumerate_girth5(n: int) -> Iterator[Graph]:
     """Stream every labeled girth-at-least-five graph on n vertices, each
     exactly once.
@@ -106,8 +157,8 @@ def enumerate_girth5(n: int) -> Iterator[Graph]:
     ends are at distance at least four. The scan is a loop, not a
     recursion, whose depth would be the candidate count.
     """
-    if n < 0:
-        raise ContractViolation("vertex count must be nonnegative")
+    if not 0 <= n <= HARD_MAX_VERTICES:
+        raise ContractViolation(f"vertex count {n} outside [0, {HARD_MAX_VERTICES}]")
     cand = [(u, v) for u in range(n) for v in range(u + 1, n)]
     adj = [0] * n
     included = []  # indices of the candidates in the graph, ascending
@@ -141,9 +192,12 @@ def random_pentagraph(
     path of length at least six joins the ends. The probe first asks for a
     path of exactly six edges, the shortest witness, and runs the unbounded
     search only when there is none, so it gives the unbounded search's
-    answer. Every probe is exact and charges ``budget``; running out raises
-    SearchBudgetExceeded instead of skipping the edge, so with the coin at
-    1.0 the result is maximal under both rules.
+    answer. The first question is one mask test of one step,
+    ``_six_edge_path``, exact here by the module's lemma: the graph keeps
+    girth at least five, and the ends have just been found at distance at
+    least four. Every probe is exact and charges ``budget``; running out
+    raises SearchBudgetExceeded instead of skipping the edge, so with the
+    coin at 1.0 the result is maximal under both rules.
 
     The probe is skipped when the ends lie in different components, where
     no path joins them and they are trivially far apart, or on opposite
@@ -175,12 +229,13 @@ def random_pentagraph(
             if not _far_apart(adj, u, v):
                 continue
             if not bipartite[cu] or side[u] == side[v]:
-                G = Graph(n, tuple(adj))
+                budget.spend()
+                if _six_edge_path(adj, u, v):
+                    continue
                 rest = full & ~(1 << u) & ~(1 << v)
                 if enumerate_induced_paths(
-                    G, u, v, rest, parity="even", min_len=6, max_len=6, limit=1, budget=budget
-                ) or enumerate_induced_paths(
-                    G, u, v, rest, parity="even", min_len=6, limit=1, budget=budget
+                    Graph(n, tuple(adj)), u, v, rest, parity="even", min_len=6, limit=1,
+                    budget=budget,
                 ):
                     continue
             bipartite[cu] = bipartite[cu] and side[u] != side[v]

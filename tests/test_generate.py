@@ -19,11 +19,12 @@ from pentagraph import (
     recognize,
     write_graph6,
 )
-from pentagraph.generate import enumerate_girth5
-from pentagraph.graph import Graph
+from pentagraph import generate
+from pentagraph.generate import _six_edge_path, enumerate_girth5
+from pentagraph.graph import Graph, HARD_MAX_VERTICES
 
 from conftest import make_rng
-from oracles import o_all_graphs, o_distance, o_girth
+from oracles import o_all_graphs, o_distance, o_girth, o_induced_paths
 
 # Labeled graphs of girth at least five, by vertex count.
 GIRTH5_COUNTS = [1, 1, 2, 7, 38, 303, 3424, 53365]
@@ -65,6 +66,13 @@ def test_enumeration_stream_properties():
     assert [next(big).edge_count() for _ in range(3)] == [0, 1, 1]
     with pytest.raises(ContractViolation):
         list(enumerate_girth5(-1))
+
+
+def test_enumeration_refuses_more_vertices_than_the_cap():
+    assert next(enumerate_girth5(HARD_MAX_VERTICES)).n == HARD_MAX_VERTICES
+    for n in (HARD_MAX_VERTICES + 1, 200):
+        with pytest.raises(ContractViolation):
+            next(enumerate_girth5(n))
 
 
 def test_random_grower_members_and_determinism():
@@ -146,12 +154,96 @@ def test_random_grower_matches_reference_without_parity_cut(edge_probability):
         assert got == reference_grower(n, random.Random(seed), edge_probability)
 
 
+def _far_pairs(G):
+    """The pairs at distance at least four, or in different components."""
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            d = o_distance(G, u, v)
+            if d is None or d >= 4:
+                yield u, v
+
+
+def _check_six_edge_lemma(G):
+    """_six_edge_path against the bounded DFS and the oracle on every far
+    pair of G, which must have girth at least five; returns the pairs
+    checked and how many of them hold a six-edge path."""
+    checked = found = 0
+    adj = list(G.adj)
+    for u, v in _far_pairs(G):
+        rest = G.full_mask() & ~(1 << u) & ~(1 << v)
+        dfs = bool(enumerate_induced_paths(
+            G, u, v, rest, parity="even", min_len=6, max_len=6, limit=1,
+        ))
+        oracle = any(len(p) == 7 for p in o_induced_paths(G, u, v))
+        got = _six_edge_path(adj, u, v)
+        assert got == dfs == oracle, f"adj={G.adj} u={u} v={v}"
+        checked += 1
+        found += got
+    return checked, found
+
+
+def _girth5_process(n, rng, attempts):
+    """A random girth-five graph that may hold long odd holes: try
+    `attempts` random pairs, keeping each whose ends are at distance at
+    least four."""
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in pairs[:attempts]:
+        d = o_distance(Graph(n, tuple(adj)), u, v)
+        if d is None or d >= 4:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def test_six_edge_mask_test_matches_the_searches(monkeypatch):
+    # On 7 vertices an induced six-edge path spans the graph, so the
+    # witnesses are exactly the 2,520 labeled paths P7 with u, v as ends.
+    checked, found = 0, 0
+    for G in enumerate_girth5(7):
+        c, f = _check_six_edge_lemma(G)
+        checked, found = checked + c, found + f
+    assert (checked, found) == (305445, 2520)
+
+    # The graphs the grower actually probes, before each mask test.
+    probed = []
+
+    def record(adj, u, v):
+        probed.append(tuple(adj))
+        return _six_edge_path(adj, u, v)
+
+    monkeypatch.setattr(generate, "_six_edge_path", record)
+    rng = make_rng("six-edge-grows")
+    for i in range(12):
+        n = rng.randrange(12, 31)
+        random_pentagraph(n, random.Random(rng.randrange(1 << 32)), (1.0, 0.7, 0.5)[i % 3])
+    monkeypatch.undo()
+    checked, found = 0, 0
+    for adj in dict.fromkeys(probed):
+        c, f = _check_six_edge_lemma(Graph(len(adj), adj))
+        checked, found = checked + c, found + f
+    assert found and checked > found
+
+    # Girth-five graphs from a generator with no odd-hole rule.
+    rng = make_rng("six-edge-girth5")
+    checked, found = 0, 0
+    for _ in range(40):
+        n = rng.randrange(8, 25)
+        G = _girth5_process(n, rng, rng.randrange(n, 3 * n))
+        assert o_girth(G) is None or o_girth(G) >= 5
+        c, f = _check_six_edge_lemma(G)
+        checked, found = checked + c, found + f
+    assert found and checked > found
+
+
 def test_random_grow_corpus_steps():
     # Pins the random-grow corpus graph by graph, and the probe work of
     # growing it. Probing every far-apart pair with the unbounded search
     # alone spends 2,082,770 steps, skipping the probes that parity decides
-    # 1,062,904, looking for a six-edge witness first 511,400, and cutting
-    # the children that cannot reach t in the unbounded pass 129,050.
+    # 1,062,904, looking for a six-edge witness first 511,400, cutting the
+    # children that cannot reach t in the unbounded pass 129,050, and
+    # deciding the six-edge witness by one mask test of one step 53,497.
     budget = SearchBudget(10**9)
     spec = CorpusSpec("random", 1, 40, seed=20260822, target_count=100)
     digest = hashlib.sha256()
@@ -160,7 +252,24 @@ def test_random_grow_corpus_steps():
     assert digest.hexdigest() == (
         "1545d5cdf904eb0a34d4bc0d0da7573582915ff175a09b021d5464a7a7b3c2e4"
     )
-    assert 10**9 - budget.remaining == 129050
+    assert 10**9 - budget.remaining == 53497
+
+
+def test_random_grow_runs_no_bounded_search(monkeypatch):
+    # The six-edge witness is a mask test, so growing the random-grow
+    # corpus runs only the unbounded search, once for each of the 2,090
+    # pairs that the 12,030 mask tests leave open.
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        return enumerate_induced_paths(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "enumerate_induced_paths", record)
+    spec = CorpusSpec("random", 1, 40, seed=20260822, target_count=100)
+    assert sum(1 for _ in generate_corpus(spec, SearchBudget(10**9))) == 100
+    assert all(kw.get("max_len") is None for kw in calls)
+    assert len(calls) == 2090
 
 
 def test_corpus_spec_validation():
@@ -178,6 +287,14 @@ def test_corpus_spec_validation():
         dict(mode="random", n_min=0, n_max=5, target_count=1, edge_probability=-0.1),
         dict(mode="random", n_min=0, n_max=5, target_count=1, seed=-1),
         dict(mode="random", n_min=0, n_max=5, target_count=1, seed=1 << 64),
+        dict(mode="random", n_min=0, n_max=5, target_count=1.5),
+        dict(mode="random", n_min=0.5, n_max=5, target_count=1),
+        dict(mode="random", n_min=0, n_max=5.0, target_count=1),
+        dict(mode="random", n_min=0, n_max=5, target_count=1, seed=1.5),
+        dict(mode="random", n_min=0, n_max=5, target_count=True),
+        dict(mode="exhaustive", n_min=False, n_max=5),
+        dict(mode="random", n_min=0, n_max=5, target_count=1, seed=True),
+        dict(mode="random", n_min=0, n_max=5, target_count="1"),
     ]
     for kwargs in bad:
         with pytest.raises(ContractViolation):
