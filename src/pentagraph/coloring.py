@@ -2,9 +2,13 @@
 with Kempe-exchange recombination, and a brute-force oracle.
 
 The 3-coloring recursion colors vertex sets of the input graph into one
-array, one component at a time, and copies a subgraph only to cut a
-component that is neither bipartite nor has a vertex of degree at most two.
-Below that copy a coloring is one color per vertex of the copy, 0 for an
+array, one component at a time. It colors a vertex of degree at most two
+after the rest of its component (a peel), and copies a subgraph only to
+cut a component that is neither bipartite nor has such a vertex. The
+peels of a vertex set run in one forward pass and get their colors in one
+backward pass that re-adds them through a parity union, so a chain of k
+peels costs a constant number of sweeps, not k (see three_color). Below
+that copy a coloring is one color per vertex of the copy, 0 for an
 uncolored vertex: each side of a cut is colored with the cut into a fresh
 array, fitted to the cut in those ids and merged, and the merged coloring
 is verified. Both top-level colorers verify properness before returning.
@@ -57,11 +61,11 @@ def _is_proper(G: Graph, c: Coloring, least: int) -> bool:
     least is 0, marks an uncolored vertex, which clashes with nothing."""
     if len(c.colors) != G.n:
         raise ContractViolation("assignment must cover every vertex exactly once")
-    classes: dict[int, int] = {}
+    classes = [0] * (c.k + 1)
     for v, col in enumerate(c.colors):
         if not least <= col <= c.k:
             raise ContractViolation(f"colors must lie in {least}..{c.k}")
-        classes[col] = classes.get(col, 0) | 1 << v
+        classes[col] |= 1 << v
     classes[0] = 0
     adj = G.adj
     for v, col in enumerate(c.colors):
@@ -254,20 +258,33 @@ def normalize_on_star(Gi: Graph, c: Coloring, v: int, X: int) -> Coloring:
 def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     """Proper 3-coloring by recursive decomposition.
 
-    Fills one color array indexed by G's vertices, one vertex set at a
-    time. One layer_parity sweep of the set gives every bipartite component
-    its 2-coloring and lists the other components. One with a vertex of
-    degree at most two inside it is colored without its least such vertex,
-    which then takes the least color its neighbours leave free. Any other
-    component is copied once and cut by decompose(): the ten-vertex base
-    case is colored directly, a cut path colors its sides and recombines
-    them with combine_p3, and a clique or star cutset colors each side
-    together with the cut and fits it to the cut, by palette permutation or
-    by normalize_on_star. Raises NoDecompositionFound when decompose finds
+    The coloring is that of a recursion over vertex sets of G, filled into
+    one color array. One layer_parity sweep of the set gives every
+    bipartite component its 2-coloring from its least vertex and lists the
+    other components. One with a vertex of degree at most two inside it is
+    colored without its least such vertex, a peel, which then takes the
+    least color its neighbours leave free. Any other component is copied
+    once and cut by decompose(): the ten-vertex base case is colored
+    directly, a cut path colors its sides and recombines them with
+    combine_p3, and a clique or star cutset colors each side together with
+    the cut and fits it to the cut, by palette permutation or by
+    normalize_on_star. Raises NoDecompositionFound when decompose finds
     nothing, which only happens off-class.
+
+    The recursion is not run one sweep per peel. Components never touch,
+    so peeling the least vertex of live degree at most two over all of
+    them at once peels each in the recursion's order. A forward pass peels
+    until no such vertex is left. A backward pass re-adds the peels in
+    reverse, joining components by a parity union: a peel is one the
+    recursion makes exactly when the part it closes is non-bipartite, and
+    a bipartite part such a peel joins is one the recursion's sweep
+    paints. The non-bipartite components the forward pass leaves are the
+    cuts, made in the recursion's order, and then the peels take their
+    colors, last peeled first. So a vertex set costs at most three sweeps
+    however long its peel chains, and the colorings, the exceptions and
+    the steps spent are the recursion's. Peels spend no steps; a budget of
+    None is made fresh at the first cut.
     """
-    if budget is None:
-        budget = SearchBudget.fresh()
     out = [0] * G.n
     _color(G, G.full_mask(), out, budget, G.n + 2)
     result = Coloring(3, tuple(out))
@@ -276,26 +293,182 @@ def three_color(G: Graph, budget: SearchBudget | None = None) -> Coloring:
     return result
 
 
-def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget, depth: int) -> None:
-    """Color G[keep] into ``out``: the bipartite components from one
-    layer_parity sweep, then each non-bipartite component it lists in turn."""
+def _color(G: Graph, keep: int, out: list[int], budget: SearchBudget | None,
+           depth: int) -> None:
+    """Color G[keep] into ``out`` as three_color's recursion would, with at
+    most three layer_parity sweeps: one here for the bipartite components,
+    the others in _peel and _rejoin. The cuts come between the two passes,
+    as the real peels' colors need theirs. A budget of None is made fresh
+    at the first cut."""
     if depth < 0:
         raise InvariantViolation("coloring recursion exceeded its depth bound")
     adj = G.adj
     odd, clash = layer_parity(adj, keep)
-    for v in iter_bits(keep & ~sum(clash)):
+    live = sum(clash)
+    for v in iter_bits(keep & ~live):
         out[v] = 1 + (odd >> v & 1)
-    for comp in clash:
-        low = next((v for v in iter_bits(comp) if (adj[v] & comp).bit_count() <= 2), None)
-        if low is not None:
-            _color(G, comp & ~(1 << low), out, budget, depth - 1)
-            forbidden = {out[u] for u in iter_bits(adj[low] & comp)}
-            out[low] = min(c for c in (1, 2, 3) if c not in forbidden)
-            continue
+    if not clash:
+        return
+    peels, sure, swept, rest = _peel(adj, live, out)
+    if rest or sure < len(peels):
+        cuts, real = _rejoin(G, clash, peels, sure, swept, rest, out)
+    else:
+        # Every peel is known real and nothing is left to cut.
+        cuts, real = [], peels[::-1]
+    for comp in cuts:
+        if budget is None:
+            budget = SearchBudget.fresh()
         sub, old_ids = induced_subgraph(G, comp)
         with _witness_in(old_ids):
             for old, col in zip(old_ids, _color_cut(sub, budget, depth - 1)):
                 out[old] = col
+    for v, nbrs in real:
+        # The least color the live neighbours leave free.
+        used = 0
+        for u in iter_bits(nbrs):
+            used |= 1 << out[u]
+        free = ~used & 0b1110
+        out[v] = (free & -free).bit_length() - 1
+
+
+def _peel(adj, live: int, out: list[int]) -> tuple[list, int, int, int]:
+    """The forward pass over the non-bipartite components ``live``: peel
+    the least live vertex of live degree at most two until none is left.
+
+    Returns ``(peels, sure, swept, rest)``: the peels in order, each as
+    (vertex, its live neighbours), of which the first ``sure`` are known
+    to be real; the mask of the bipartite parts painted after the first
+    degree-2 peel; and the vertices left, every one of live degree at
+    least three. Up to that peel every peel has degree one, so its part
+    stays connected and non-bipartite and the peel is real; one sweep
+    then paints the bipartite parts it leaves from their least vertex.
+    """
+    deg = [0] * len(adj)
+    low = 0
+    rest = live
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        deg[v] = d = (adj[v] & live).bit_count()
+        if d <= 2:
+            low |= bit
+    peels = []
+    sure = None
+    swept = 0
+    while low:
+        bit = low & -low
+        low ^= bit
+        live ^= bit
+        v = bit.bit_length() - 1
+        nbrs = adj[v] & live
+        peels.append((v, nbrs))
+        rest = nbrs
+        while rest:
+            ubit = rest & -rest
+            rest ^= ubit
+            u = ubit.bit_length() - 1
+            deg[u] -= 1
+            if deg[u] <= 2:
+                low |= ubit
+        if sure is None and deg[v] == 2:
+            sure = len(peels)
+            odd, parts = layer_parity(adj, live)
+            swept = live & ~sum(parts)
+            for u in iter_bits(swept):
+                out[u] = 1 + (odd >> u & 1)
+            live ^= swept
+            low &= live
+    return peels, len(peels) if sure is None else sure, swept, live
+
+
+def _rejoin(G: Graph, clash: list[int], peels: list, sure: int, swept: int,
+            rest: int, out: list[int]) -> tuple[list[int], list]:
+    """The backward pass: re-add the peels in reverse order to the
+    components of ``rest`` by a parity union and decide which peels the
+    recursion makes.
+
+    Each component is a record [mask, non-bipartite, the cuts below it in
+    recursion order], found through a per-vertex label that a merge
+    rewrites on the smaller side; ``side`` 2-colors every bipartite one.
+    A peel has at most two live neighbours. It is real exactly when the
+    part it closes is non-bipartite: every part the recursion peels on its
+    way to that part contains it, and it never enters a bipartite part,
+    which is painted whole. A real peel paints each bipartite component it
+    joins from its least vertex, as the recursion's sweep of the rest
+    would, and orders the cuts below it by the least vertex of their
+    components. Returns the cuts in that order and the real peels in
+    reverse order.
+    """
+    adj = G.adj
+    label = [None] * G.n
+    side, parts = layer_parity(adj, rest)
+    records = [[m, True, [m]] for m in parts]
+    records += [[m, False, []] for m in components_within(G, rest & ~sum(parts))]
+    for rec in records:
+        for x in iter_bits(rec[0]):
+            label[x] = rec
+    real = []
+    for i in range(len(peels) - 1, -1, -1):
+        v, nbrs = peels[i]
+        bit = 1 << v
+        # The records a and b of the live neighbours x and y, if any; a
+        # neighbour painted after the first degree-2 peel has none.
+        low = nbrs & -nbrs
+        x = low.bit_length() - 1
+        y = (nbrs ^ low).bit_length() - 1
+        a = label[x] if nbrs else None
+        b = label[y] if y >= 0 else None
+        if a is None:
+            a, x, b = b, y, None
+        # Two neighbours on opposite sides of one component close an odd cycle.
+        odd = a is b and a is not None and (side >> x ^ side >> y) & 1 == 1
+        if a is b:
+            b = None
+        closes = (i < sure or odd or a is not None and a[1]
+                  or b is not None and b[1])
+        cuts = []
+        if closes:
+            real.append((v, nbrs))
+            if b is not None and b[0] & -b[0] < a[0] & -a[0]:
+                a, b = b, a
+            for r in (a, b):
+                if r is None:
+                    continue
+                if r[1]:
+                    cuts += r[2]
+                    continue
+                m = r[0]
+                flip = side >> ((m & -m).bit_length() - 1) & 1
+                for u in iter_bits(m):
+                    out[u] = 1 + ((side >> u & 1) ^ flip)
+        else:
+            # The part stays bipartite: align b with a, v opposite both.
+            if b is not None and (side >> x ^ side >> y) & 1:
+                side ^= a[0] if a[0].bit_count() < b[0].bit_count() else b[0]
+            if a is not None:
+                side = side & ~bit if side >> x & 1 else side | bit
+        if a is None:
+            label[v] = [bit, closes, cuts]
+            continue
+        if b is not None:
+            # Merge into the larger record, relabelling the smaller.
+            if b[0].bit_count() > a[0].bit_count():
+                a, b = b, a
+            for u in iter_bits(b[0]):
+                label[u] = a
+            a[0] |= b[0]
+        a[0] |= bit
+        a[1] = closes
+        a[2] = cuts
+        label[v] = a
+    # Each top component, in order of least vertex, through a vertex that
+    # has a record.
+    cuts = []
+    for comp in clash:
+        m = comp & ~swept
+        cuts += label[(m & -m).bit_length() - 1][2]
+    return cuts, real
 
 
 def _color_cut(G: Graph, budget: SearchBudget, depth: int) -> tuple[int, ...]:

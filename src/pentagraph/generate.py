@@ -93,20 +93,22 @@ class CorpusSpec:
             raise ContractViolation("seed must fit in 64 bits")
 
 
-def _far_apart(adj: list[int], u: int, v: int) -> bool:
-    """True iff dist(u, v) >= 4, so the edge uv closes no cycle below 5."""
+def _far_apart(adj: list[int], u: int, v: int) -> int:
+    """The radius-2 ball around u as a mask when dist(u, v) >= 4, so the
+    edge uv closes no cycle below 5, and 0 otherwise; the ball holds u, so
+    the answer is true exactly when the ends are far apart."""
     # Kept apart from graph.bfs and components_within: it runs on the
     # enumerator's and the grower's mutable rows, not a Graph, once per
     # candidate edge in their innermost loops. dist(u, v) <= 3 exactly when
     # the radius-2 ball around u meets N[v], so one expansion, over N(u),
-    # is enough.
+    # is enough; the grower's six-edge test reuses it.
     ball = 1 << u | adj[u]
     rest = adj[u]
     while rest:
         low = rest & -rest
         rest ^= low
         ball |= adj[low.bit_length() - 1]
-    return not ball & (1 << v | adj[v])
+    return 0 if ball & (1 << v | adj[v]) else ball
 
 
 def _reach(adj: list[int], mask: int) -> int:
@@ -119,11 +121,12 @@ def _reach(adj: list[int], mask: int) -> int:
     return out
 
 
-def _six_edge_path(adj: list[int], u: int, v: int) -> bool:
+def _six_edge_path(adj: list[int], u: int, v: int, ball: int) -> bool:
     """True iff an induced u-v path of exactly six edges exists, provided
-    the graph has girth at least five and dist(u, v) >= 4.
+    the graph has girth at least five, dist(u, v) >= 4 and ``ball`` is the
+    radius-2 ball around u, as _far_apart returns it.
 
-    Under those two conditions every non-backtracking u-v walk of six
+    Under the first two conditions every non-backtracking u-v walk of six
     edges is an induced path (see the module docstring), so a witness is
     a walk u, a', a, c, b, b', v with a at distance exactly two from u, b
     at distance exactly two from v, c outside N[u] and N[v], and a != b.
@@ -132,7 +135,7 @@ def _six_edge_path(adj: list[int], u: int, v: int) -> bool:
     either condition fails the answer means nothing.
     """
     near = 1 << u | 1 << v | adj[u] | adj[v]
-    s2u = _reach(adj, adj[u]) & ~(1 << u | adj[u])
+    s2u = ball & ~(1 << u | adj[u])
     s2v = _reach(adj, adj[v]) & ~(1 << v | adj[v])
     both = s2u | s2v
     mids = _reach(adj, s2u) & _reach(adj, s2v) & ~near
@@ -226,11 +229,12 @@ def random_pentagraph(
             continue
         cu, cv = comp[u], comp[v]
         if cu == cv:
-            if not _far_apart(adj, u, v):
+            ball = _far_apart(adj, u, v)
+            if not ball:
                 continue
             if not bipartite[cu] or side[u] == side[v]:
                 budget.spend()
-                if _six_edge_path(adj, u, v):
+                if _six_edge_path(adj, u, v, ball):
                     continue
                 rest = full & ~(1 << u) & ~(1 << v)
                 if enumerate_induced_paths(

@@ -350,7 +350,8 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
     in B, and the path search is confined to B. That drops only DFS
     subtrees that cannot reach b2, and keeps every path and its order. A
     hole of at least ``min_len + 2`` vertices needs a block that big, so
-    smaller blocks are never searched.
+    smaller blocks are never searched, and a smaller graph not even split
+    into blocks.
 
     Both callers ask only for odd holes, and an odd cycle cannot lie in a
     bipartite block: there every b1-b2 path has the parity of the b1-b2
@@ -358,9 +359,11 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
     bipartite blocks are skipped too, and only subtrees holding no
     answer go.
     """
+    least = min_len + 2
+    if G.n < least:
+        return
     adj = G.adj
     full = G.full_mask()
-    least = min_len + 2
     big = [
         B for B in blocks(G) if B.bit_count() >= least and layer_parity(adj, B)[1]
     ]

@@ -3,7 +3,7 @@ recursive 3-coloring with its recombination steps, and the brute-force
 chromatic oracle."""
 
 import hashlib
-import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,9 @@ from pentagraph import (
     InvariantViolation,
     NoDecompositionFound,
     P3Cutset,
+    PENTAGRAPH,
     PETERSEN_COLORING,
+    PentagraphError,
     SearchBudget,
     SearchBudgetExceeded,
     bfs_layers,
@@ -36,6 +38,7 @@ from pentagraph import (
     mask_of,
     normalize_on_star,
     parse_graph6,
+    recognize,
     three_color,
     verify_coloring,
     verify_parity_star_cutset,
@@ -45,11 +48,12 @@ from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.generate import enumerate_girth5
 
 from conftest import make_rng, p3_gadget, star_gadget
-from oracles import o_chromatic
+from oracles import o_chromatic, o_three_color
 from test_decomposition import glue_petersens_at_vertex, glue_petersens_on_path
 from test_graph import rand_graph
 
 MEMBERS = Path(__file__).resolve().parents[1] / "perfbench" / "members.g6"
+P3_MEMBERS = Path(__file__).resolve().parent / "p3_members.g6"
 
 
 def pinned_graphs():
@@ -208,14 +212,54 @@ def test_bipartite_graphs_take_one_parity_sweep(monkeypatch):
     assert sweeps == [0b11111, 0b01100]
 
 
-def test_each_color_call_takes_its_components_from_one_parity_sweep(monkeypatch):
-    # layer_parity lists the non-bipartite components, so _color sweeps its
-    # vertex set once and walks none of them again with components_within.
-    # The members peel a vertex of degree at most two, level after level.
-    real_color, real_parity, real_split = (
-        coloring._color, coloring.layer_parity, coloring.components_within
-    )
-    calls = {"color": 0, "sweep": 0, "split": 0}
+def test_each_color_call_sweeps_at_most_three_times(monkeypatch):
+    # _color peels a vertex set in one forward and one backward pass, so
+    # it sweeps the set once, once more after its first degree-2 peel and
+    # once over what the peels leave; the recursion it replaces made one
+    # call and one sweep per peel, 3,188 of each on the members.
+    real_color, real_parity = coloring._color, coloring.layer_parity
+    calls = {"color": 0, "sweep": 0}
+    open_calls = []
+    most = 0
+
+    def color(*args):
+        nonlocal most
+        calls["color"] += 1
+        open_calls.append(0)
+        try:
+            return real_color(*args)
+        finally:
+            most = max(most, open_calls.pop())
+
+    def parity(adj, within):
+        calls["sweep"] += 1
+        open_calls[-1] += 1
+        return real_parity(adj, within)
+
+    monkeypatch.setattr(coloring, "_color", color)
+    monkeypatch.setattr(coloring, "layer_parity", parity)
+    for G in member_graphs():
+        three_color(G)
+    assert calls == {"color": 194, "sweep": 477}
+    assert most == 3
+
+
+def pendant_pentagon(length):
+    """A pentagon on the top five ids with a pendant path of ``length``
+    vertices, numbered from its free end, hanging from its least vertex."""
+    edges = [(i, i + 1) for i in range(length)]
+    edges += [(length + i, length + (i + 1) % 5) for i in range(5)]
+    return make_graph(length + 5, edges, max_n=128)
+
+
+def test_one_color_call_peels_a_long_pendant_path(monkeypatch):
+    # The least vertex of degree at most two is always the path's free
+    # end, so the recursion peeled the path one level at a time, 121
+    # levels deep; one _color call now peels it in two sweeps.
+    G = pendant_pentagon(120)
+    assert recognize(G).verdict == PENTAGRAPH
+    real_color, real_parity = coloring._color, coloring.layer_parity
+    calls = {"color": 0, "sweep": 0}
 
     def color(*args):
         calls["color"] += 1
@@ -225,20 +269,69 @@ def test_each_color_call_takes_its_components_from_one_parity_sweep(monkeypatch)
         calls["sweep"] += 1
         return real_parity(adj, within)
 
-    def split(G, allowed):
-        calls["split"] += sys._getframe(1).f_code is real_color.__code__
-        return real_split(G, allowed)
-
     monkeypatch.setattr(coloring, "_color", color)
     monkeypatch.setattr(coloring, "layer_parity", parity)
-    monkeypatch.setattr(coloring, "components_within", split)
-    most = 0
-    for G in member_graphs():
-        before = calls["color"]
-        three_color(G)
-        most = max(most, calls["color"] - before)
-    assert calls == {"color": 3188, "sweep": 3188, "split": 0}
-    assert most == 76  # the longest peel chain, on one member
+    got = three_color(G)
+    assert calls == {"color": 1, "sweep": 2}
+    assert got == o_three_color(G, SearchBudget(0))
+
+
+def _color_outcome(color, G, steps):
+    """(colors, None, steps left), or (None, (error type, message,
+    witness), steps left) when the colorer raises."""
+    budget = SearchBudget(steps)
+    try:
+        return color(G, budget).colors, None, budget.remaining
+    except PentagraphError as err:
+        return None, (type(err), str(err), getattr(err, "witness", None)), budget.remaining
+
+
+def cuts_out_of_vertex_order():
+    """Peeling 0 leaves the Petersen graph on 2..11 and a part holding 1,
+    whose peel leaves K4 on 12..15: the recursion cuts the K4 first, which
+    has the larger least vertex, and it raises before the Petersen graph's
+    cut spends a step."""
+    P = petersen()
+    edges = [(0, 1), (0, 2), (1, 12)]
+    edges += [(u + 2, v + 2) for u in range(10) for v in iter_bits(P.adj[u]) if u < v]
+    edges += [(u + 12, v + 12) for u in range(4) for v in range(u + 1, 4)]
+    return make_graph(16, edges)
+
+
+def test_three_color_matches_the_recursive_peel(random_pentagraphs_40):
+    # The one-pass peel against the recursion it replaced: the same
+    # colorings, the same exception with the same message and witness, and
+    # the same steps left, on members and on graphs outside the class, at
+    # a budget that suffices and at one that runs out part way. On the
+    # gadget only the recursion's order of cuts gives the reference's answer.
+    rng = make_rng("three-color-peel")
+    inputs = [
+        member_graphs(),
+        [parse_graph6(ln) for ln in P3_MEMBERS.read_text(encoding="ascii").split("\n")
+         if ln.strip() and not ln.startswith("#")],
+        [G for n in range(8) for G in enumerate_girth5(n)],
+        random_pentagraphs_40[:100],
+        [rand_graph(rng, rng.randint(5, 16), rng.uniform(0.1, 0.45)) for _ in range(3000)],
+        [rand_graph(rng, rng.randint(16, 40), rng.uniform(0.04, 0.2)) for _ in range(2000)],
+    ]
+    assert [len(graphs) for graphs in inputs] == [128, 127, 57141, 100, 3000, 2000]
+    raised = Counter()
+    for graphs in inputs:
+        for G in graphs:
+            got = _color_outcome(three_color, G, 10**6)
+            assert got == _color_outcome(o_three_color, G, 10**6), G.adj
+            raised[got[1] and got[1][0]] += 1
+    assert raised == {None: 60746, InvariantViolation: 1321, NoDecompositionFound: 429}
+    G = cuts_out_of_vertex_order()
+    got = _color_outcome(three_color, G, 10**6)
+    assert got == _color_outcome(o_three_color, G, 10**6)
+    assert got[1][0] is NoDecompositionFound and got[2] == 10**6 - 32
+    raised = Counter()
+    for G in inputs[1] + inputs[4] + inputs[5]:
+        got = _color_outcome(three_color, G, 300)
+        assert got == _color_outcome(o_three_color, G, 300), G.adj
+        raised[got[1] and got[1][0]] += 1
+    assert raised[SearchBudgetExceeded] == 493
 
 
 def test_colorings_of_every_seven_vertex_member_are_pinned():

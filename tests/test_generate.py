@@ -20,7 +20,7 @@ from pentagraph import (
     write_graph6,
 )
 from pentagraph import generate
-from pentagraph.generate import _six_edge_path, enumerate_girth5
+from pentagraph.generate import _far_apart, _six_edge_path, enumerate_girth5
 from pentagraph.graph import Graph, HARD_MAX_VERTICES
 
 from conftest import make_rng
@@ -175,7 +175,7 @@ def _check_six_edge_lemma(G):
             G, u, v, rest, parity="even", min_len=6, max_len=6, limit=1,
         ))
         oracle = any(len(p) == 7 for p in o_induced_paths(G, u, v))
-        got = _six_edge_path(adj, u, v)
+        got = _six_edge_path(adj, u, v, _far_apart(adj, u, v))
         assert got == dfs == oracle, f"adj={G.adj} u={u} v={v}"
         checked += 1
         found += got
@@ -209,9 +209,9 @@ def test_six_edge_mask_test_matches_the_searches(monkeypatch):
     # The graphs the grower actually probes, before each mask test.
     probed = []
 
-    def record(adj, u, v):
+    def record(adj, u, v, ball):
         probed.append(tuple(adj))
-        return _six_edge_path(adj, u, v)
+        return _six_edge_path(adj, u, v, ball)
 
     monkeypatch.setattr(generate, "_six_edge_path", record)
     rng = make_rng("six-edge-grows")

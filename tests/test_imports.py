@@ -3,8 +3,8 @@ every private module-level name of the package is referred to by the
 package itself, not only by tests, only SearchBudget.spend raises
 SearchBudgetExceeded, only cli.main builds a report, the theorem checkers
 run no induced-path search of their own, the 3-coloring copies a
-subgraph only in one place, and revalidation reads a star certificate
-without running a star-cutset builder.
+subgraph only in one place and peels without recursing, and revalidation
+reads a star certificate without running a star-cutset builder.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -234,6 +234,31 @@ def test_the_coloring_copies_only_per_component():
     # no cut side is relabelled and no witness renamed a second time.
     source = (PACKAGE / "coloring.py").read_text(encoding="utf-8")
     assert copy_sites(source) == ["_color", "_color"]
+
+
+def color_call_sites(source: str) -> list[str]:
+    """Where ``source`` calls ``_color``."""
+    return scoped_sites(
+        source, lambda node: isinstance(node, ast.Call) and _name(node.func) == "_color"
+    )
+
+
+def test_the_check_sees_a_color_call():
+    source = (
+        "def _color(G, keep):\n"
+        "    for low in keep:\n        _color(G, keep & ~low)\n\n\n"
+        "def three_color(G):\n    coloring._color(G, G.full_mask())\n"
+    )
+    assert color_call_sites(source) == ["_color", "three_color"]
+    assert color_call_sites("def _color_cut(G):\n    return _color_side(G)\n") == []
+
+
+def test_the_coloring_peels_without_recursing():
+    # _color peels a vertex set in one forward and one backward pass, so a
+    # chain of peels costs no call per peel and no Python frame per level;
+    # only a cut's sides are colored by calls of their own.
+    source = (PACKAGE / "coloring.py").read_text(encoding="utf-8")
+    assert color_call_sites(source) == ["three_color", "_color_cut"]
 
 
 STAR_BUILDERS = (
