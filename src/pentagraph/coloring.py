@@ -462,12 +462,17 @@ def _rejoin(G: Graph, clash: list[int], peels: list, sure: int, swept: int,
         a[1] = closes
         a[2] = cuts
         label[v] = a
-    # Each top component, in order of least vertex, through a vertex that
-    # has a record.
+    # Each top component, in order of least vertex, through a vertex of the
+    # record that holds its cuts. Only the component of the first degree-2
+    # peel has painted vertices, and there a degree-1 peel hanging off a
+    # painted part has a record of its own, with no cuts; that peel's
+    # record holds them all.
     cuts = []
     for comp in clash:
-        m = comp & ~swept
-        cuts += label[(m & -m).bit_length() - 1][2]
+        if comp & swept:
+            cuts += label[peels[sure - 1][0]][2]
+        else:
+            cuts += label[(comp & -comp).bit_length() - 1][2]
     return cuts, real
 
 

@@ -48,7 +48,8 @@ from pentagraph.fixtures import cycle, fixture, petersen
 from pentagraph.generate import enumerate_girth5
 
 from conftest import make_rng, p3_gadget, star_gadget
-from oracles import o_chromatic, o_three_color
+from oracles import o_chromatic
+from recursive_coloring import o_three_color
 from test_decomposition import glue_petersens_at_vertex, glue_petersens_on_path
 from test_graph import rand_graph
 
@@ -298,6 +299,25 @@ def cuts_out_of_vertex_order():
     return make_graph(16, edges)
 
 
+def pendant_off_a_painted_part(rng, tree, part, core):
+    """A pendant tree on the least ``tree`` ids hangs off a bipartite part
+    on the ``part`` ids after the next one, which that next vertex, of
+    degree two, joins to ``core`` on the top ids. The tree is peeled first,
+    all at degree one, then the joining vertex; the sweep after it paints
+    the part, so the tree's peels rejoin apart from the core's cuts."""
+    join, first = tree, tree + 1
+    edges = [(i, rng.randrange(i + 1, tree) if i + 1 < tree and rng.random() < 0.6
+              else first + rng.randrange(part)) for i in range(tree)]
+    if part >= 4 and part % 2 == 0 and rng.random() < 0.5:
+        edges += [(first + i, first + (i + 1) % part) for i in range(part)]
+    else:
+        edges += [(first + i, first + rng.randrange(i)) for i in range(1, part)]
+    top = first + part
+    edges += [(join, first + rng.randrange(part)), (join, top + rng.randrange(core.n))]
+    edges += [(top + u, top + v) for u, v in core.edges()]
+    return make_graph(top + core.n, edges)
+
+
 def test_three_color_matches_the_recursive_peel(random_pentagraphs_40):
     # The one-pass peel against the recursion it replaced: the same
     # colorings, the same exception with the same message and witness, and
@@ -326,6 +346,22 @@ def test_three_color_matches_the_recursive_peel(random_pentagraphs_40):
     got = _color_outcome(three_color, G, 10**6)
     assert got == _color_outcome(o_three_color, G, 10**6)
     assert got[1][0] is NoDecompositionFound and got[2] == 10**6 - 32
+    # Pendant trees off a part that the first degree-2 peel leaves
+    # bipartite, with the cuts in the core; the first is the pendant path
+    # 0-2-1 on a Petersen graph.
+    rng = make_rng("painted-part")
+    k4 = make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    cores = [petersen(), glue_petersens_at_vertex(), glue_petersens_on_path(), k4]
+    gadgets = [make_graph(13, [(0, 2), (1, 2), (1, 3)]
+                          + [(u + 3, v + 3) for u, v in petersen().edges()])]
+    gadgets += [pendant_off_a_painted_part(rng, tree, part, core)
+                for core in cores for tree in range(1, 5) for part in range(1, 7)]
+    raised = Counter()
+    for G in gadgets:
+        got = _color_outcome(three_color, G, 10**6)
+        assert got == _color_outcome(o_three_color, G, 10**6), G.adj
+        raised[got[1] and got[1][0]] += 1
+    assert raised == {None: 73, NoDecompositionFound: 24}
     raised = Counter()
     for G in inputs[1] + inputs[4] + inputs[5]:
         got = _color_outcome(three_color, G, 300)
