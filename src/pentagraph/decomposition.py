@@ -351,10 +351,20 @@ def revalidate_outcome(
     v = outcome.variant
     if v == "bipartite":
         col = outcome.two_coloring
-        if col is None or len(col) != G.n or any(c not in (1, 2) for c in col):
+        if col is None or len(col) != G.n:
             raise InvariantViolation("bipartite certificate is not a 2-coloring")
-        for a, b in G.edges():
-            if col[a] == col[b]:
+        # One pass builds the two colour classes, one mask test per vertex
+        # then finds its least later neighbour of its own colour: the first
+        # monochromatic edge in (a, b) order.
+        sides = {1: 0, 2: 0}
+        for u, c in enumerate(col):
+            if c not in (1, 2):
+                raise InvariantViolation("bipartite certificate is not a 2-coloring")
+            sides[c] |= 1 << u
+        for a, row in enumerate(G.adj):
+            same = (row & sides[col[a]]) >> a
+            if same:
+                b = a + (same & -same).bit_length() - 1
                 raise InvariantViolation(f"edge {a}-{b} is monochromatic")
     elif v == "low_degree":
         if outcome.vertex not in range(G.n) or G.degree(outcome.vertex) > 2:

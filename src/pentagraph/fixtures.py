@@ -2,9 +2,15 @@
 
 All ids are zero-based. The classical drawings of these graphs number
 vertices from one; id k here corresponds to label k+1 there.
+
+Each named graph is built once, on first use, and every later call returns
+that same Graph: graphs are immutable, and the library asks for these per
+input graph. ``cycle(n)`` builds a new graph on every call.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import ContractViolation
 from .graph import Graph, make_graph
@@ -17,6 +23,7 @@ def cycle(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+@cache
 def petersen() -> Graph:
     """The Petersen graph: outer pentagon 0..4, spokes i-(i+5), inner
     pentagram on 5..9 stepping by two."""
@@ -26,6 +33,7 @@ def petersen() -> Graph:
     return make_graph(10, edges)
 
 
+@cache
 def petersen_minus_edge() -> Graph:
     """Ten vertices: an 8-cycle 0..7 with chords 1-5 and 3-7, plus vertex 8
     adjacent to 0 and 4, and vertex 9 adjacent to 2 and 6. Isomorphic to
@@ -35,6 +43,7 @@ def petersen_minus_edge() -> Graph:
     return make_graph(10, edges)
 
 
+@cache
 def petersen_minus_vertex() -> Graph:
     """Nine vertices: a hexagon 0..5 plus vertices 6, 7, 8 adjacent to the
     three opposite pairs {0,3}, {1,4}, {2,5}. Isomorphic to the Petersen
@@ -44,6 +53,7 @@ def petersen_minus_vertex() -> Graph:
     return make_graph(9, edges)
 
 
+@cache
 def petersen_minus_two() -> Graph:
     """Eight vertices: an 8-cycle 0..7 with chords 1-5 and 3-7. Isomorphic
     to the Petersen graph with two adjacent vertices removed."""
@@ -57,8 +67,8 @@ _FIXTURES = {
     "p0": petersen_minus_edge,
     "p1": petersen_minus_vertex,
     "p2": petersen_minus_two,
-    "c5": lambda: cycle(5),
-    "c7": lambda: cycle(7),
+    "c5": cache(lambda: cycle(5)),
+    "c7": cache(lambda: cycle(7)),
 }
 
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))

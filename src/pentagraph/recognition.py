@@ -49,7 +49,10 @@ def recognize(G: Graph, budget: SearchBudget | None = None) -> RecognitionReport
     five", and only then does shortest_cycle, one breadth-first search per
     edge, build the witness, once. A bipartite graph has no odd cycle, so
     the long-odd-hole search, the only step that can exhaust the budget,
-    runs only on a graph that is not.
+    runs only on a graph that is not. That search decides in a
+    smallest-degree-first order of each block and names its witness, the
+    first hole through its least label, only on a graph that has one: see
+    find_long_odd_hole.
     """
     g = girth(G)
     bip = not layer_parity(G.adj, G.full_mask())[1]

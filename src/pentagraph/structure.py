@@ -309,19 +309,73 @@ def _children_reaching_t(adj, tbit: int, region: int, kids: int, want: int | Non
 def find_long_odd_hole(G: Graph, budget: SearchBudget | None = None) -> Hole | None:
     """An induced odd cycle of length >= 7, or None when none exists.
 
-    Walks the holes through their minimum vertex and stops at the first
-    whose path between the two neighbors is odd with length >= 5. The
-    search runs inside one block at a time and skips blocks of fewer than
-    seven vertices and bipartite blocks: an odd hole lies in one block,
-    which is big enough and holds an odd cycle. So the answer is the one a
-    search of the whole graph finds first, and a bipartite graph costs no
-    step. Exact; raises SearchBudgetExceeded instead of answering when the
-    budget runs out.
+    Two passes on one budget. ``_has_long_odd_hole`` decides, in a
+    smallest-degree-first order of each block, and only on a yes does the
+    label-order search name the witness: it walks the holes through their
+    least vertex and stops at the first whose path between the two
+    neighbours is odd with length >= 5. So a member costs the decision
+    alone, and the witness is the first hole a whole-graph search by least
+    label finds. Both passes skip blocks of fewer than seven vertices and
+    bipartite blocks, so a bipartite graph costs no step. Exact; raises
+    SearchBudgetExceeded instead of answering when the budget runs out.
     """
     if budget is None:
         budget = SearchBudget.fresh()
-    holes = _holes_by_min_vertex(G, budget, parity="odd", min_len=5, limit=1)
-    return next(holes, None)
+    if not _has_long_odd_hole(G, budget):
+        return None
+    return next(_holes_by_min_vertex(G, budget, parity="odd", min_len=5, limit=1))
+
+
+def _has_long_odd_hole(G: Graph, budget: SearchBudget) -> bool:
+    """True when G has an induced odd cycle of length >= 7.
+
+    Each block B of ``_odd_blocks`` is walked in a degeneracy order: the
+    live vertex of least degree inside the live part of B first, the least
+    label on ties, one mask per degree (a bucket queue; Matula and Beck,
+    "Smallest-last ordering and clustering and graph coloring algorithms",
+    J. ACM 1983). Every hole of B has exactly one first vertex a in that
+    order; its two hole neighbours b1 < b2 come later, and its other
+    vertices come later and avoid N(a). So the hole is a plus an odd
+    induced b1-b2 path of length >= 5 inside ``later & ~N(a)``, where
+    ``later`` is the part of B after a, and each root searches only what
+    is left of B. The order changes the cost, not the answer: peeling the
+    low-degree periphery first leaves the costly roots the smallest
+    regions.
+    """
+    adj = G.adj
+    for B in _odd_blocks(G, 7):
+        deg = [0] * G.n
+        buckets = [0] * G.n
+        for v in iter_bits(B):
+            deg[v] = d = (adj[v] & B).bit_count()
+            buckets[d] |= 1 << v
+        later = B
+        d = 0
+        while later:
+            while not buckets[d]:
+                d += 1
+            low = buckets[d] & -buckets[d]
+            buckets[d] ^= low
+            later ^= low
+            a = low.bit_length() - 1
+            nbrs = adj[a] & later
+            for u in iter_bits(nbrs):
+                k = deg[u]
+                deg[u] = k - 1
+                buckets[k] ^= 1 << u
+                buckets[k - 1] |= 1 << u
+            d = max(d - 1, 0)
+            inside = later & ~adj[a]
+            rest = nbrs
+            while rest:
+                b1 = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                for b2 in iter_bits(rest & ~adj[b1]):
+                    if enumerate_induced_paths(
+                        G, b1, b2, inside, parity="odd", min_len=5, limit=1, budget=budget
+                    ):
+                        return True
+    return False
 
 
 def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
@@ -337,6 +391,20 @@ def five_holes(G: Graph, budget: SearchBudget | None = None) -> list[Hole]:
     return list(_holes_by_min_vertex(G, budget, min_len=3, max_len=3))
 
 
+def _odd_blocks(G: Graph, least: int) -> list[int]:
+    """The blocks of at least ``least`` vertices that are not bipartite, as
+    masks; none when G itself is smaller.
+
+    Both hole searches ask only for odd holes, and an odd cycle cannot lie
+    in a bipartite block: there every b1-b2 path has the parity of the
+    b1-b2 distance, which is even when b1 and b2 share the neighbour a. A
+    hole of ``least`` vertices lies in one block that big.
+    """
+    if G.n < least:
+        return []
+    return [B for B in blocks(G) if B.bit_count() >= least and layer_parity(G.adj, B)[1]]
+
+
 def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path_options):
     """Yield validated holes through their minimum vertex a.
 
@@ -348,25 +416,15 @@ def _holes_by_min_vertex(G: Graph, budget: SearchBudget, *, min_len: int, **path
 
     A hole lies in one block: the block B of the edge a-b1. So b2 must lie
     in B, and the path search is confined to B. That drops only DFS
-    subtrees that cannot reach b2, and keeps every path and its order. A
-    hole of at least ``min_len + 2`` vertices needs a block that big, so
-    smaller blocks are never searched, and a smaller graph not even split
-    into blocks.
-
-    Both callers ask only for odd holes, and an odd cycle cannot lie in a
-    bipartite block: there every b1-b2 path has the parity of the b1-b2
-    distance, which is even, as b1 and b2 share the neighbour a. So
-    bipartite blocks are skipped too, and only subtrees holding no
-    answer go.
+    subtrees that cannot reach b2, and keeps every path and its order. Only
+    the blocks of ``_odd_blocks`` are searched, so the subtrees that go
+    hold no answer.
     """
-    least = min_len + 2
-    if G.n < least:
+    big = _odd_blocks(G, min_len + 2)
+    if not big:
         return
     adj = G.adj
     full = G.full_mask()
-    big = [
-        B for B in blocks(G) if B.bit_count() >= least and layer_parity(adj, B)[1]
-    ]
     for a in range(G.n):
         at_a = [B for B in big if B >> a & 1]
         if not at_a:
@@ -432,24 +490,32 @@ class Jump:
 
     def validate(self, G: Graph) -> None:
         self.path.validate(G)
+        self._check(G, self.path.interior_mask(), self.hole.mask())
+
+    def _check(self, G: Graph, interior: int, hmask: int) -> None:
+        """Every clause of ``validate`` past the path's own, given the
+        interior and hole masks. The path's ids are checked by then and
+        ``across`` before its row is read, so adjacency is a mask test."""
         s, t = self.path.ends
-        hmask = self.hole.mask()
+        adj = G.adj
         if not ((hmask >> s & 1) and (hmask >> t & 1)):
             raise InvariantViolation("jump ends must lie on the hole")
-        if G.has_edge(s, t):
+        if adj[s] >> t & 1:
             raise InvariantViolation("jump ends must be non-adjacent")
-        interior = self.path.interior_mask()
         if interior & hmask:
             raise InvariantViolation("jump interior must avoid the hole")
         if self.path.length < 3:
             raise InvariantViolation("jumps have length at least three")
         if not 0 <= self.across < G.n:
             raise InvariantViolation(f"'across' {self.across} is not a vertex of the graph")
-        if not (G.has_edge(self.across, s) and G.has_edge(self.across, t)):
+        ends = 1 << s | 1 << t
+        if adj[self.across] & ends != ends:
             raise InvariantViolation("'across' vertex must neighbor both ends")
-        others = hmask & ~mask_of((s, t, self.across))
-        if any(G.adj[v] & interior for v in iter_bits(others)):
-            raise InvariantViolation("jump interior touches a hole vertex off its ends and across")
+        for v in iter_bits(hmask & ~ends & ~(1 << self.across)):
+            if adj[v] & interior:
+                raise InvariantViolation(
+                    "jump interior touches a hole vertex off its ends and across"
+                )
 
 
 def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tuple[Jump, ...]:
@@ -483,22 +549,25 @@ def find_jumps(G: Graph, C: Hole, *, budget: SearchBudget | None = None) -> tupl
         pairs.append((min(s, t), max(s, t), across, allowed & ~near))
     pairs.sort()
     return tuple(
-        _classify_jump(G, C, p, across)
+        _classify_jump(G, C, cmask, p, across)
         for s, t, across, inside in pairs
         for p in enumerate_induced_paths(G, s, t, inside, min_len=3, budget=budget)
     )
 
 
-def _classify_jump(G: Graph, C: Hole, p: InducedPath, across: int) -> Jump:
+def _classify_jump(G: Graph, C: Hole, cmask: int, p: InducedPath, across: int) -> Jump:
     # A length-three jump touched by ``across`` closes a cycle shorter than
     # five, and an even local jump closes an odd hole longer than five with
     # the side of C away from ``across``: the input is not a pentagraph.
-    if p.length == 3 and G.adj[across] & p.interior_mask():
+    # Then Jump.validate's clauses, with the masks taken once.
+    interior = p.interior_mask()
+    if p.length == 3 and G.adj[across] & interior:
         raise InvariantViolation("short jump touched by the hole; girth < 5 input", p.vertices)
     if p.length % 2 == 0:
         raise InvariantViolation("even local jump; input has a short or long odd hole", p.vertices)
     jump = Jump(p, C, across)
-    jump.validate(G)
+    p.validate(G)
+    jump._check(G, interior, cmask)
     return jump
 
 

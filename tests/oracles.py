@@ -38,10 +38,11 @@ def o_distance(G, s, t):
     return None
 
 
-def o_induced_cycle_masks(G):
-    """Every vertex subset inducing a cycle, with its size."""
+def o_induced_cycle_masks(G, sizes=None):
+    """Every vertex subset inducing a cycle, with its size; only subsets of
+    the given ``sizes`` when they are given."""
     out = []
-    for size in range(3, G.n + 1):
+    for size in range(3, G.n + 1) if sizes is None else sizes:
         for combo in combinations(range(G.n), size):
             mask = 0
             for v in combo:
@@ -88,6 +89,11 @@ def o_is_pentagraph(G):
     if any(size < 5 for size, _ in cycles):
         return False
     return not any(size % 2 == 1 and size > 5 for size, _ in cycles)
+
+
+def o_has_long_odd_hole(G):
+    """Whether some subset of odd size at least seven induces a cycle."""
+    return bool(o_induced_cycle_masks(G, range(7, G.n + 1, 2)))
 
 
 def o_is_bipartite(G):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 
@@ -29,15 +30,23 @@ from pentagraph import structure
 from pentagraph.fixtures import FIXTURE_NAMES, cycle, fixture, petersen
 from pentagraph.graph import girth, induced_subgraph, is_bipartite
 from pentagraph.generate import enumerate_girth5
-from pentagraph.structure import DEFAULT_MAX_STEPS, _search_order, default_max_steps
+from pentagraph.structure import (
+    DEFAULT_MAX_STEPS,
+    _has_long_odd_hole,
+    _holes_by_min_vertex,
+    _search_order,
+    default_max_steps,
+)
 
 from conftest import make_rng, star_gadget
 from test_coloring import member_graphs
 from test_decomposition import glue_petersens_at_vertex
 from test_graph import heawood, rand_graph
+from test_p3_members import p3_member_graphs
 from oracles import (
     o_contains_induced,
     o_embeddings,
+    o_has_long_odd_hole,
     o_hole_violation,
     o_induced_cycle_masks,
     o_induced_paths,
@@ -376,6 +385,57 @@ def test_find_long_odd_hole():
         find_long_odd_hole(cycle(9), budget=SearchBudget(2))
 
 
+def label_order_hole(G, budget):
+    """The first long odd hole of the search through each hole's least
+    label: the witness find_long_odd_hole names."""
+    return next(_holes_by_min_vertex(G, budget, parity="odd", min_len=5, limit=1), None)
+
+
+def test_long_odd_hole_decision_matches_oracle_on_random_graphs():
+    rng = make_rng("long-odd-hole-decision")
+    holes = 0
+    for _ in range(1000):
+        G = rand_graph(rng, rng.randrange(7, 14), rng.choice((0.15, 0.2, 0.25, 0.3)))
+        found = _has_long_odd_hole(G, SearchBudget(10**9))
+        assert found == o_has_long_odd_hole(G)
+        holes += found
+    assert holes == 65
+
+
+def test_find_long_odd_hole_names_the_label_order_witness():
+    # The degree order decides, the label order names the witness: the
+    # answer is the first hole of the search by least label.
+    rng = make_rng("long-odd-hole-witness")
+    holes = 0
+    for _ in range(4000):
+        G = rand_graph(rng, rng.randrange(7, 19), rng.choice((0.15, 0.2, 0.25, 0.3)))
+        hole = find_long_odd_hole(G, SearchBudget(10**9))
+        assert hole == label_order_hole(G, SearchBudget(10**9))
+        holes += hole is not None
+    assert holes == 1183
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_find_long_odd_hole_is_indeterminate_only_past_its_steps(member):
+    # A member costs the decision alone; a non-member the decision and the
+    # label-order search that names its witness, both on one budget.
+    G = member_graphs()[0] if member else c5_with_path([5, 6, 7, 8, 9, 10])
+    budget = SearchBudget(10**9)
+    hole = find_long_odd_hole(G, budget)
+    assert (hole is None) == member
+    steps = 10**9 - budget.remaining
+    decide = SearchBudget(10**9)
+    assert _has_long_odd_hole(G, decide) != member
+    label = SearchBudget(10**9)
+    assert label_order_hole(G, label) == hole
+    assert steps == 10**9 - decide.remaining + (0 if member else 10**9 - label.remaining)
+    budget = SearchBudget(steps)
+    assert find_long_odd_hole(G, budget) == hole
+    assert budget.remaining == 0
+    with pytest.raises(SearchBudgetExceeded):
+        find_long_odd_hole(G, SearchBudget(steps - 1))
+
+
 def test_five_holes():
     assert five_holes(cycle(6)) == []
     assert [h.vertices for h in five_holes(cycle(5))] == [(0, 1, 2, 3, 4)]
@@ -450,6 +510,7 @@ def test_block_searches_match_oracle_on_glued_graphs(G):
     long_odd = {m for size, m in cycles if size % 2 and size >= 7}
     hole = find_long_odd_hole(G)
     assert (hole is None) == (not long_odd)
+    assert _has_long_odd_hole(G, SearchBudget(10**9)) == bool(long_odd)
     assert hole is None or hole.mask() in long_odd
     for C in holes:
         # Only local jumps: no hole vertex other than the ends and the one
@@ -762,10 +823,12 @@ def test_is_isomorphic():
 
 def test_girth5_stream_long_hole_split():
     # On 7 vertices, girth >= 5 graphs split into members (no odd hole
-    # beyond the pentagon) and heptagon carriers.
+    # beyond the pentagon) and heptagon carriers, and the degree-order
+    # decision agrees with the oracle on each.
     n_member = n_c7 = 0
     for G in enumerate_girth5(7):
         hole = find_long_odd_hole(G)
+        assert _has_long_odd_hole(G, SearchBudget(10**9)) == o_has_long_odd_hole(G)
         if hole is None:
             n_member += 1
         else:
@@ -783,7 +846,8 @@ def test_member_step_ledger():
     # a DFS shows its step change here. Before the unbounded DFS swept from
     # t at each node, recognize spent 392,951 steps and find_jumps 648,570;
     # before contains_induced gained its distance-two masks and look-ahead,
-    # the p2 search spent 41,517.
+    # the p2 search spent 41,517; before recognize decided in a degeneracy
+    # order and searched in label order only for a witness, it spent 29,332.
     ledger = dict.fromkeys(("recognize", "five_holes", "find_jumps", "contains_induced_p2"), 0)
     p2 = fixture("p2")
     for G in member_graphs():
@@ -798,8 +862,35 @@ def test_member_step_ledger():
             search(budget)
             ledger[name] += 10**9 - budget.remaining
     assert ledger == {
-        "recognize": 29332,
+        "recognize": 16554,
         "five_holes": 14945,
         "find_jumps": 64613,
         "contains_induced_p2": 6014,
     }
+
+
+def test_recognize_steps_on_random_grow_graphs(random_pentagraphs_40):
+    # Pins recognition's work on the first 100 random members, every one a
+    # member, so the degree-order decision alone. Rooting each hole at its
+    # least label instead, recognize spent 15,617 steps.
+    steps = 0
+    for G in random_pentagraphs_40[:100]:
+        budget = SearchBudget(10**9)
+        assert recognize(G, budget).verdict == PENTAGRAPH
+        steps += 10**9 - budget.remaining
+    assert steps == 4347
+
+
+def test_five_holes_on_the_member_files():
+    # five_holes keeps its label order: the holes, their order and the
+    # steps spent on each graph of both member files.
+    for graphs, want in (
+        (member_graphs(), "e035517833484686429008bf71fd1aa51aaf0bc9c6c40cd3672ad2aeb6a4640c"),
+        (p3_member_graphs(), "c520404b4b9a0110b52fcf0645c7b036d2f6ec9ce9ff3f2ca0a28f5beae4d311"),
+    ):
+        digest = hashlib.sha256()
+        for G in graphs:
+            budget = SearchBudget(10**9)
+            holes = five_holes(G, budget)
+            digest.update(f"{[h.vertices for h in holes]!r} {10**9 - budget.remaining}\n".encode())
+        assert digest.hexdigest() == want
