@@ -174,18 +174,33 @@ def enumerate_induced_paths(
     inside ``interior_allowed`` and is no shorter than that distance, so
     only subtrees with no path short enough go.
 
-    Third, without ``max_len``, each node with children sweeps once from t
-    through R, the allowed vertices that are neither on the path nor
-    adjacent to it (see ``_children_reaching_t``). A path that goes on
-    through the child z ends z, w1, ..., wk, t with every wi in R, so z is
-    adjacent to t or to t's part of R, and the other children go. When the
-    sweep finds no edge inside one of its layers, t's part of R is
-    bipartite, and every walk from a vertex of layer d to t has d's
-    parity; so with a parity asked for, only the children adjacent to a
-    layer of the parity that completes the path stay. The search is still
-    exact and exponential in the worst case. Chudnovsky, Scott and Seymour
-    show that a long odd hole can be found in polynomial time ("Detecting a
-    long odd hole", Combinatorica 2021); this DFS does not attempt that.
+    Third, without ``max_len``, the root and every node with two or more
+    children sweep once from t through R, the allowed vertices that are
+    neither on the path nor adjacent to it (see ``_children_reaching_t``).
+    A path that goes on through the child z ends z, w1, ..., wk, t with
+    every wi in R, so z is adjacent to t or to t's part of R, and the other
+    children go. When the sweep finds no edge inside one of its layers,
+    t's part of R is bipartite, and every walk from a vertex of layer d to
+    t has d's parity; so with a parity asked for, only the children
+    adjacent to a layer of the parity that completes the path stay.
+
+    Below the root, a node X with a lone child z enters it with no sweep.
+    Every node below the root touches t's part of its parent's region R: a
+    sweep keeps only such children, and the argument that follows shows it
+    for lone ones. X's neighbours in R are its children, so z lies in t's
+    part of R. The vertex before z on a shortest t-z path inside R avoids
+    z, so z touches t's part of R - z, which is X's own region. With no
+    parity asked for, X's sweep would keep z, so the DFS visits the same
+    nodes as with a sweep at every node. With a parity asked for, X may
+    have been kept only through an odd cycle in t's part of R that R - z no
+    longer holds, and X's sweep would refuse z; the DFS then enters z, and
+    any lone children after it, until a node's own sweep refuses the branch
+    or it ends beside t with the wrong parity. The root always sweeps: no
+    sweep vouches for it, and its lone child may lead into a branch that
+    never reaches t. The search is still exact and exponential in the worst
+    case. Chudnovsky, Scott and Seymour show that a long odd hole can be
+    found in polynomial time ("Detecting a long odd hole", Combinatorica
+    2021); this DFS does not attempt that.
 
     The DFS is one loop over an explicit stack, so its depth is not bound by
     Python's recursion limit. Each DFS node costs one budget step, and the
@@ -252,7 +267,9 @@ def enumerate_induced_paths(
             blocked = excl | adj[last]
             if near is None:
                 rest = cand & allowed
-                if rest:
+                # The root sweeps for any child; a node below it only for two
+                # or more, since a lone child already touches t's part.
+                if rest and (not stack or rest & (rest - 1)):
                     # A child z completes the path with 1 + d more edges through
                     # layer d, so the wanted layers have d = parity - len(path) - 1.
                     want = None if parity_bit is None else (parity_bit ^ len(path) ^ 1) & 1
@@ -282,7 +299,11 @@ def _children_reaching_t(adj, tbit: int, region: int, kids: int, want: int | Non
     One sweep of the breadth-first layers from t inside ``region``; the
     kids lie outside it and only collect the layers they touch. An edge
     inside a layer closes an odd cycle, and then parity decides nothing.
-    The sweep stops once every kid is kept.
+    The sweep stops once every kid is kept. ``enumerate_induced_paths``
+    calls it at its root and at every node with two or more kids: a lone
+    kid below the root touches t's part of ``region`` already, so without
+    ``want`` the sweep would keep it, and with ``want`` a later sweep
+    refuses the branch instead (see that function).
     """
     touched = [0, 0]
     seen = frontier = tbit

@@ -3,8 +3,9 @@ every private module-level name of the package is referred to by the
 package itself, not only by tests, only SearchBudget.spend raises
 SearchBudgetExceeded, only cli.main builds a report, the theorem checkers
 run no induced-path search of their own, the 3-coloring copies a
-subgraph only in one place and peels without recursing, and revalidation
-reads a star certificate without running a star-cutset builder.
+subgraph only in one place and peels without recursing, revalidation
+reads a star certificate without running a star-cutset builder, and only
+the induced-path DFS sweeps from t for its children.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -295,3 +296,33 @@ def test_revalidation_builds_no_star():
     # again and comparing.
     sites = builder_call_sites((PACKAGE / "decomposition.py").read_text(encoding="utf-8"))
     assert sites and "revalidate_outcome" not in sites
+
+
+def sweep_call_sites(source: str) -> list[str]:
+    """Where ``source`` calls ``_children_reaching_t``."""
+    return scoped_sites(
+        source,
+        lambda node: isinstance(node, ast.Call) and _name(node.func) == "_children_reaching_t",
+    )
+
+
+def test_the_check_sees_a_sweep_call():
+    source = (
+        "def enumerate_induced_paths(G):\n"
+        "    while True:\n        rest = _children_reaching_t(G.adj, 1, 2, 3, None)\n\n\n"
+        "def find_jumps(G):\n    return structure._children_reaching_t(G.adj, 1, 2, 3, 0)\n"
+    )
+    assert sweep_call_sites(source) == ["enumerate_induced_paths", "find_jumps"]
+    assert sweep_call_sites("def f(G):\n    return _frontiers(G, 1, 2)\n") == []
+
+
+def test_only_the_path_dfs_sweeps_for_children():
+    # The rule that decides which nodes sweep (the root and every node with
+    # two or more children) lives at one call site, so no caller can sweep
+    # on a rule of its own.
+    sites = {
+        p.name: found
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (found := sweep_call_sites(p.read_text(encoding="utf-8")))
+    }
+    assert sites == {"structure.py": ["enumerate_induced_paths"]}

@@ -213,15 +213,31 @@ def test_enumerate_induced_paths_refuses_a_limit_below_one():
 @st.composite
 def path_queries(draw):
     """A graph, two distinct ends, an interior mask and one combination of
-    the path filters. A third of the graphs are arbitrary on at most nine
-    vertices, a third bipartite on at most twelve plus up to three edges
-    that may close odd cycles, where parity decides most branches. The
-    rest are a 5- or 7-cycle through t with a tree holding s hanging off
+    the path filters. A quarter of the graphs are arbitrary on at most nine
+    vertices, a quarter bipartite on at most twelve plus up to three edges
+    that may close odd cycles, where parity decides most branches. A
+    quarter are a 5- or 7-cycle through t with a tree holding s hanging off
     another cycle vertex, all allowed: a path from s reaches t either way
     round the cycle, so a sweep from t that misses the cycle's edge inside
-    a layer drops the paths of one parity."""
-    kind = draw(st.sampled_from(["any", "bipartite", "cycle"]))
-    if kind == "cycle":
+    a layer drops the paths of one parity. The rest are a graph on at most
+    four vertices with two to four induced chains hung between its
+    vertices, earlier chains' vertices included, or from one vertex back to
+    itself, all allowed: a chain's inner vertices have one child each, so
+    the DFS meets lone children below the root, and the cycles the chains
+    close have either parity."""
+    kind = draw(st.sampled_from(["any", "bipartite", "cycle", "chain"]))
+    if kind == "chain":
+        n = draw(st.integers(1, 4))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+        for _ in range(draw(st.integers(2, 4))):
+            u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            inner = draw(st.integers(1, 3)) + (u == v)
+            chain = [u, *range(n, n + inner), v]
+            edges += zip(chain, chain[1:])
+            n += inner
+        s, t = draw(st.permutations(range(n)))[:2]
+        allowed = (1 << n) - 1
+    elif kind == "cycle":
         length = draw(st.sampled_from([5, 7]))
         n = length + draw(st.integers(1, 5))
         edges = [(i, (i + 1) % length) for i in range(length)]
@@ -371,6 +387,84 @@ def test_enumerate_induced_paths_decides_parity_in_a_bipartite_region():
     tri = make_graph(36, grid.edges() + [(21, 28)])
     odd = enumerate_induced_paths(tri, 0, 14, tri.full_mask(), parity="odd", limit=1)
     assert len(odd) == 1 and odd[0].length % 2 == 1 and {21, 28} <= set(odd[0].vertices)
+
+
+def chained_graph(rng):
+    """A random graph on three to eight vertices with two to five induced
+    chains of one to five inner vertices hung between its vertices,
+    earlier chains' vertices included."""
+    n = rng.randrange(3, 9)
+    p = rng.choice((0.2, 0.35, 0.5))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    for _ in range(rng.randrange(2, 6)):
+        u, v = rng.sample(range(n), 2)
+        inner = rng.randrange(1, 6)
+        chain = [u, *range(n, n + inner), v]
+        edges += zip(chain, chain[1:])
+        n += inner
+    return make_graph(n, edges)
+
+
+def test_lone_children_cost_the_same_steps_without_a_parity():
+    # Below the root a lone child is entered with no sweep from t. With no
+    # parity asked for, that sweep would have kept it, so the answers and
+    # the steps are those of a sweep at every node, tight budgets included:
+    # the digest is the one the DFS gave when every node swept.
+    rng = make_rng("lone-child-steps")
+    digest = hashlib.sha256()
+    for _ in range(150):
+        G = chained_graph(rng)
+        for _ in range(4):
+            s, t = rng.sample(range(G.n), 2)
+            allowed = G.full_mask() if rng.random() < 0.75 else rng.getrandbits(G.n)
+            for limit in (None, 1, 3):
+                budget = SearchBudget(10**6)
+                paths = enumerate_induced_paths(G, s, t, allowed, limit=limit, budget=budget)
+                spent = 10**6 - budget.remaining
+                digest.update(f"{[p.vertices for p in paths]} {spent}\n".encode())
+                for cap in (spent - 1, spent):
+                    budget = SearchBudget(cap)
+                    try:
+                        got = enumerate_induced_paths(G, s, t, allowed, limit=limit, budget=budget)
+                    except SearchBudgetExceeded:
+                        got = None
+                    digest.update(f"{got == paths} {budget.remaining}\n".encode())
+    assert digest.hexdigest() == (
+        "9fa1d386bcd1ede4f25079ed70776768da8e73bc58fc758b5cb45ed67a35c866"
+    )
+
+
+def test_the_root_sweeps_for_its_lone_child():
+    # s = 0 has the one neighbour 1, which leads down a chain to 60, 61 and
+    # t = 62. With 61 left out of the interior the chain never reaches t,
+    # and the root's sweep refuses its lone child: one step, where entering
+    # it would walk all 60 chain vertices.
+    G = make_graph(63, [(v, v + 1) for v in range(62)])
+    dead = G.full_mask() & ~(1 << 61)
+    for parity in ("any", "even", "odd"):
+        budget = SearchBudget(10)
+        assert enumerate_induced_paths(G, 0, 62, dead, parity=parity, budget=budget) == []
+        assert budget.remaining == 9
+    budget = SearchBudget(100)
+    paths = enumerate_induced_paths(G, 0, 62, G.full_mask(), budget=budget)
+    assert [p.vertices for p in paths] == [tuple(range(63))]
+    assert budget.remaining == 100 - 62
+
+
+def test_a_parity_search_may_refuse_a_lone_child_one_node_later():
+    # s = 0, 1, 2, 3, t = 4 is the one path, of even length, and the
+    # triangle 2, 5, 6 hangs off 2. The root keeps 1 through the triangle's
+    # odd cycle, and 1's lone child 2 is entered with no sweep. For an odd
+    # path, 2's own sweep refuses its children 3, 5 and 6: three steps, one
+    # more than when 1 swept and refused 2. With no parity asked for, or an
+    # even one, the steps are those of a sweep at every node.
+    G = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6), (5, 6)])
+    for parity, want, steps in (("odd", [], 3), ("even", [(0, 1, 2, 3, 4)], 4),
+                                ("any", [(0, 1, 2, 3, 4)], 4)):
+        budget = SearchBudget(10)
+        paths = enumerate_induced_paths(G, 0, 4, G.full_mask(), parity=parity, budget=budget)
+        assert [p.vertices for p in paths] == want
+        assert budget.remaining == 10 - steps
 
 
 def test_find_long_odd_hole():
@@ -847,7 +941,9 @@ def test_member_step_ledger():
     # t at each node, recognize spent 392,951 steps and find_jumps 648,570;
     # before contains_induced gained its distance-two masks and look-ahead,
     # the p2 search spent 41,517; before recognize decided in a degeneracy
-    # order and searched in label order only for a witness, it spent 29,332.
+    # order and searched in label order only for a witness, it spent 29,332,
+    # and before a lone child below the root was entered without a sweep,
+    # 16,554.
     ledger = dict.fromkeys(("recognize", "five_holes", "find_jumps", "contains_induced_p2"), 0)
     p2 = fixture("p2")
     for G in member_graphs():
@@ -862,7 +958,7 @@ def test_member_step_ledger():
             search(budget)
             ledger[name] += 10**9 - budget.remaining
     assert ledger == {
-        "recognize": 16554,
+        "recognize": 16766,
         "five_holes": 14945,
         "find_jumps": 64613,
         "contains_induced_p2": 6014,
@@ -872,13 +968,14 @@ def test_member_step_ledger():
 def test_recognize_steps_on_random_grow_graphs(random_pentagraphs_40):
     # Pins recognition's work on the first 100 random members, every one a
     # member, so the degree-order decision alone. Rooting each hole at its
-    # least label instead, recognize spent 15,617 steps.
+    # least label instead, recognize spent 15,617 steps, and sweeping from t
+    # at a lone child below the root too, 4,347.
     steps = 0
     for G in random_pentagraphs_40[:100]:
         budget = SearchBudget(10**9)
         assert recognize(G, budget).verdict == PENTAGRAPH
         steps += 10**9 - budget.remaining
-    assert steps == 4347
+    assert steps == 4428
 
 
 def test_five_holes_on_the_member_files():
