@@ -36,6 +36,14 @@ edges. The grower's graph has girth at least five by construction and
 the distance is checked first, so a six-edge witness exists exactly when
 some middle vertex c off N[u] and N[v] has neighbours a at distance two
 from u and b at distance two from v with a != b.
+
+Both tests read radius-2 balls. The grower's graph changes only at its
+insertions, while it tests many pairs in between, so it keeps every
+vertex's ball up to date as edges go in: its distance test is one mask
+AND, and its six-edge test reads both ends' spheres off their balls and
+the spheres' neighbourhoods off a second table kept the same way. The
+enumerator removes edges as it backtracks, so it builds u's ball afresh
+for each pair instead.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ContractViolation, SearchBudgetExceeded
-from .graph import Graph, HARD_MAX_VERTICES
+from .graph import Graph, HARD_MAX_VERTICES, iter_bits
 from .structure import SearchBudget, enumerate_induced_paths, find_long_odd_hole
 
 EXHAUSTIVE_MAX_N = 10
@@ -98,10 +106,11 @@ def _far_apart(adj: list[int], u: int, v: int) -> int:
     edge uv closes no cycle below 5, and 0 otherwise; the ball holds u, so
     the answer is true exactly when the ends are far apart."""
     # Kept apart from graph.bfs and components_within: it runs on the
-    # enumerator's and the grower's mutable rows, not a Graph, once per
-    # candidate edge in their innermost loops. dist(u, v) <= 3 exactly when
-    # the radius-2 ball around u meets N[v], so one expansion, over N(u),
-    # is enough; the grower's six-edge test reuses it.
+    # enumerator's mutable rows, not a Graph, once per candidate edge in
+    # its innermost loop, and the enumerator removes edges as it
+    # backtracks, so it cannot keep balls up to date the way the grower
+    # does. dist(u, v) <= 3 exactly when the radius-2 ball around u meets
+    # N[v], so one expansion, over N(u), is enough.
     ball = 1 << u | adj[u]
     rest = adj[u]
     while rest:
@@ -121,24 +130,32 @@ def _reach(adj: list[int], mask: int) -> int:
     return out
 
 
-def _six_edge_path(adj: list[int], u: int, v: int, ball: int) -> bool:
+def _six_edge_path(
+    adj: list[int], u: int, v: int, ball_u: int, ball_v: int, rim_u: int, rim_v: int
+) -> bool:
     """True iff an induced u-v path of exactly six edges exists, provided
-    the graph has girth at least five, dist(u, v) >= 4 and ``ball`` is the
-    radius-2 ball around u, as _far_apart returns it.
+    the graph has girth at least five, dist(u, v) >= 4, ``ball_u`` and
+    ``ball_v`` are the radius-2 balls around u and v as masks, and
+    ``rim_u`` and ``rim_v`` their rims: the union of N(a) over the sphere,
+    the vertices at distance exactly two.
 
     Under the first two conditions every non-backtracking u-v walk of six
     edges is an induced path (see the module docstring), so a witness is
     a walk u, a', a, c, b, b', v with a at distance exactly two from u, b
     at distance exactly two from v, c outside N[u] and N[v], and a != b.
     A middle vertex c seen from both spheres gives such a walk unless the
-    two spheres meet its neighbourhood in the same single vertex. When
-    either condition fails the answer means nothing.
+    two spheres meet its neighbourhood in the same single vertex. Each
+    sphere is its ball less the closed neighbourhood, and the middle
+    vertices are the two rims' common vertices off N[u] and N[v], so the
+    balls and rims the grower keeps up to date (see random_pentagraph)
+    leave no expansion to make. When a condition fails the answer means
+    nothing.
     """
     near = 1 << u | 1 << v | adj[u] | adj[v]
-    s2u = ball & ~(1 << u | adj[u])
-    s2v = _reach(adj, adj[v]) & ~(1 << v | adj[v])
+    s2u = ball_u & ~(1 << u | adj[u])
+    s2v = ball_v & ~(1 << v | adj[v])
     both = s2u | s2v
-    mids = _reach(adj, s2u) & _reach(adj, s2v) & ~near
+    mids = rim_u & rim_v & ~near
     while mids:
         low = mids & -mids
         mids ^= low
@@ -207,6 +224,32 @@ def random_pentagraph(
     sides of a bipartite component, where every path between them is odd.
     Neither holds an even path, so the graph is the one that probing every
     far-apart pair gives, for fewer steps.
+
+    Both tests read ``balls[x]``, the radius-2 ball around x as a mask,
+    which starts at x alone and is brought up to date at each insertion,
+    before ``adj`` changes: when uv goes in, every old neighbour of u
+    gains v, every old neighbour of v gains u, u gains v and N(v), and v
+    gains u and N(u). The update is exact. Distances only shrink as edges
+    go in, so no vertex leaves a ball, and a pair that comes within
+    distance two does so along a walk of at most two edges through the
+    new edge, which is one of the pairs listed; this holds also when u
+    and v lie in different components. The distance test is then
+    ``balls[u] & (1 << v | adj[v])``: dist(u, v) <= 3 exactly when u's
+    ball meets N[v].
+
+    The six-edge test also reads ``rims[x]``, the union of N(a) over the
+    sphere S2(x) of vertices at distance exactly two; it starts empty. The
+    ends of a new edge are at distance at least four, so no vertex leaves
+    a sphere and the spheres grow as the balls do. A rim grows by the new
+    neighbourhoods of the vertices its sphere gains, by v at the vertices
+    of S2(u), whose spheres hold u, and by u at those of S2(v); no other
+    neighbourhood changes, so this update is exact too.
+
+    Growth slows sharply with n: at 60 or more vertices the unbounded
+    searches can spend more than the default budget of 10,000,000 steps
+    on one graph (``penta corpus --mode random --n-min 60 --n-max 80
+    --count 3 --seed 5`` is truncated before its first graph), so such
+    runs need a larger budget, ``--max-steps`` on the command line.
     """
     if not 0 <= n <= HARD_MAX_VERTICES:
         raise ContractViolation(f"vertex count {n} outside [0, {HARD_MAX_VERTICES}]")
@@ -224,17 +267,20 @@ def random_pentagraph(
     comp = list(range(n))
     side = [0] * n
     bipartite = [True] * n
+    # The radius-2 ball around each vertex and the rim of its sphere, kept
+    # exact as edges go in.
+    balls = [1 << x for x in range(n)]
+    rims = [0] * n
     for u, v in pairs:
         if edge_probability < 1.0 and rng.random() >= edge_probability:
             continue
         cu, cv = comp[u], comp[v]
         if cu == cv:
-            ball = _far_apart(adj, u, v)
-            if not ball:
+            if balls[u] & (1 << v | adj[v]):
                 continue
             if not bipartite[cu] or side[u] == side[v]:
                 budget.spend()
-                if _six_edge_path(adj, u, v, ball):
+                if _six_edge_path(adj, u, v, balls[u], balls[v], rims[u], rims[v]):
                     continue
                 rest = full & ~(1 << u) & ~(1 << v)
                 if enumerate_induced_paths(
@@ -250,8 +296,23 @@ def random_pentagraph(
                     comp[w] = cu
                     side[w] ^= flip
             bipartite[cu] = bipartite[cu] and bipartite[cv]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        bu, bv, nu, nv = 1 << u, 1 << v, adj[u], adj[v]
+        for x in iter_bits(balls[u] & ~(bu | nu)):
+            rims[x] |= bv
+        for x in iter_bits(balls[v] & ~(bv | nv)):
+            rims[x] |= bu
+        for x in iter_bits(nu):
+            balls[x] |= bv
+            rims[x] |= nv | bu
+        for x in iter_bits(nv):
+            balls[x] |= bu
+            rims[x] |= nu | bv
+        balls[u] |= bv | nv
+        balls[v] |= bu | nu
+        rims[u] |= _reach(adj, nv)
+        rims[v] |= _reach(adj, nu)
+        adj[u] = nu | bv
+        adj[v] = nv | bu
     return Graph(n, tuple(adj))
 
 

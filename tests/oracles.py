@@ -38,6 +38,21 @@ def o_distance(G, s, t):
     return None
 
 
+def o_distances(G, s):
+    """Plain BFS distances from s, by vertex, to every vertex s reaches."""
+    dist = {s: 0}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for z in bits(G.adj[u]):
+                if z not in dist:
+                    dist[z] = dist[u] + 1
+                    nxt.append(z)
+        frontier = nxt
+    return dist
+
+
 def o_induced_cycle_masks(G, sizes=None):
     """Every vertex subset inducing a cycle, with its size; only subsets of
     the given ``sizes`` when they are given."""

@@ -11,6 +11,7 @@ from pentagraph import (
     CorpusSpec,
     PENTAGRAPH,
     SearchBudget,
+    SearchBudgetExceeded,
     distance,
     enumerate_induced_paths,
     generate_corpus,
@@ -20,11 +21,11 @@ from pentagraph import (
     write_graph6,
 )
 from pentagraph import generate
-from pentagraph.generate import _far_apart, _six_edge_path, enumerate_girth5
+from pentagraph.generate import _far_apart, _reach, _six_edge_path, enumerate_girth5
 from pentagraph.graph import Graph, HARD_MAX_VERTICES
 
 from conftest import make_rng
-from oracles import o_all_graphs, o_distance, o_girth, o_induced_paths
+from oracles import o_all_graphs, o_distance, o_distances, o_girth, o_induced_paths
 
 # Labeled graphs of girth at least five, by vertex count.
 GIRTH5_COUNTS = [1, 1, 2, 7, 38, 303, 3424, 53365]
@@ -175,7 +176,10 @@ def _check_six_edge_lemma(G):
             G, u, v, rest, parity="even", min_len=6, max_len=6, limit=1,
         ))
         oracle = any(len(p) == 7 for p in o_induced_paths(G, u, v))
-        got = _six_edge_path(adj, u, v, _far_apart(adj, u, v))
+        ball_u, ball_v = _far_apart(adj, u, v), _far_apart(adj, v, u)
+        rim_u = _reach(adj, ball_u & ~(1 << u | adj[u]))
+        rim_v = _reach(adj, ball_v & ~(1 << v | adj[v]))
+        got = _six_edge_path(adj, u, v, ball_u, ball_v, rim_u, rim_v)
         assert got == dfs == oracle, f"adj={G.adj} u={u} v={v}"
         checked += 1
         found += got
@@ -209,9 +213,9 @@ def test_six_edge_mask_test_matches_the_searches(monkeypatch):
     # The graphs the grower actually probes, before each mask test.
     probed = []
 
-    def record(adj, u, v, ball):
+    def record(adj, *args):
         probed.append(tuple(adj))
-        return _six_edge_path(adj, u, v, ball)
+        return _six_edge_path(adj, *args)
 
     monkeypatch.setattr(generate, "_six_edge_path", record)
     rng = make_rng("six-edge-grows")
@@ -235,6 +239,40 @@ def test_six_edge_mask_test_matches_the_searches(monkeypatch):
         c, f = _check_six_edge_lemma(G)
         checked, found = checked + c, found + f
     assert found and checked > found
+
+
+def test_the_grower_keeps_every_ball_exact(monkeypatch):
+    # The grower updates each vertex's radius-2 ball and the rim of its
+    # sphere as edges go in, never recomputing them; at every six-edge test
+    # both balls and both rims must equal the ones the oracle's distances
+    # give. A graph whose budget runs dry is checked up to that point.
+    def oracle_ball_and_rim(adj, x):
+        ball = rim = 0
+        for y, d in o_distances(Graph(len(adj), tuple(adj)), x).items():
+            if d <= 2:
+                ball |= 1 << y
+            if d == 2:
+                rim |= adj[y]
+        return ball, rim
+
+    sizes = []
+
+    def record(adj, u, v, ball_u, ball_v, rim_u, rim_v):
+        want = oracle_ball_and_rim(adj, u) + oracle_ball_and_rim(adj, v)
+        assert (ball_u, rim_u, ball_v, rim_v) == want, (adj, u, v)
+        sizes.append(len(adj))
+        return _six_edge_path(adj, u, v, ball_u, ball_v, rim_u, rim_v)
+
+    monkeypatch.setattr(generate, "_six_edge_path", record)
+    rng = make_rng("grower-balls")
+    for n in range(0, 65, 4):
+        for coin in (1.0, 0.8, 0.5):
+            try:
+                random_pentagraph(n, random.Random(rng.randrange(1 << 32)), coin,
+                                  SearchBudget(20000))
+            except SearchBudgetExceeded:
+                pass
+    assert len(sizes) > 5000 and 64 in sizes
 
 
 def test_random_grow_corpus_steps():

@@ -4,8 +4,9 @@ package itself, not only by tests, only SearchBudget.spend raises
 SearchBudgetExceeded, only cli.main builds a report, the theorem checkers
 run no induced-path search of their own, the 3-coloring copies a
 subgraph only in one place and peels without recursing, revalidation
-reads a star certificate without running a star-cutset builder, and only
-the induced-path DFS sweeps from t for its children.
+reads a star certificate without running a star-cutset builder, only
+the induced-path DFS sweeps from t for its children, and only the
+exhaustive enumerator builds a radius-2 ball from scratch.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public API.
@@ -326,3 +327,32 @@ def test_only_the_path_dfs_sweeps_for_children():
         if (found := sweep_call_sites(p.read_text(encoding="utf-8")))
     }
     assert sites == {"structure.py": ["enumerate_induced_paths"]}
+
+
+def far_apart_call_sites(source: str) -> list[str]:
+    """Where ``source`` calls ``_far_apart``."""
+    return scoped_sites(
+        source, lambda node: isinstance(node, ast.Call) and _name(node.func) == "_far_apart"
+    )
+
+
+def test_the_check_sees_a_far_apart_call():
+    source = (
+        "def enumerate_girth5(n):\n"
+        "    if _far_apart(adj, u, v):\n        yield adj\n\n\n"
+        "def random_pentagraph(n, rng):\n    return generate._far_apart(adj, 0, 1)\n"
+    )
+    assert far_apart_call_sites(source) == ["enumerate_girth5", "random_pentagraph"]
+    assert far_apart_call_sites("def f(adj):\n    return _reach(adj, 3)\n") == []
+
+
+def test_only_the_enumerator_builds_a_ball():
+    # The grower keeps every vertex's radius-2 ball up to date as edges go
+    # in, so a ball built from scratch there would be wasted work; only the
+    # enumerator, which removes edges as it backtracks, builds one per pair.
+    sites = {
+        p.name: found
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (found := far_apart_call_sites(p.read_text(encoding="utf-8")))
+    }
+    assert sites == {"generate.py": ["enumerate_girth5"]}
